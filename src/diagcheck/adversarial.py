@@ -18,6 +18,7 @@ from .graph import (
     is_2_path_bounded,
     is_quasi_acyclic,
     loop_count,
+    require_edge,
 )
 from .monoid import matrix_monoid, matrix_unit, upper_unitriangular, zero_matrix
 
@@ -39,15 +40,10 @@ def _check_vanishing_shape(graph: OrientedGraph) -> None:
     _require(is_2_path_bounded(graph), "2-path-bounded")
 
 
-def _require_edge(graph: OrientedGraph, edge) -> None:
-    if not isinstance(edge, int) or isinstance(edge, bool) or not 0 <= edge < graph.edge_count:
-        raise ValueError(f"invalid edge id {edge!r}")
-
-
 def nz_edge_labeling(graph: OrientedGraph, edge: int) -> Diagram:
     """Commutative 2x2 diagram whose only nonzero label sits on one edge."""
     _check_vanishing_shape(graph)
-    _require_edge(graph, edge)
+    require_edge(graph, edge)
     nonzero = matrix_unit(2, 0, 1)
     zero = zero_matrix(2)
     labels = [nonzero if e == edge else zero for e in range(graph.edge_count)]
@@ -64,8 +60,8 @@ def nz_pair_labeling(graph: OrientedGraph, first: int, second: int) -> Diagram:
     chosen edges are nonzero.
     """
     _check_vanishing_shape(graph)
-    _require_edge(graph, first)
-    _require_edge(graph, second)
+    require_edge(graph, first)
+    require_edge(graph, second)
     if first == second:
         raise ValueError("the two edges must be distinct")
     low = matrix_unit(3, 0, 1)

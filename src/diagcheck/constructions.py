@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
-from .graph import OrientedGraph, loop_count
+from .graph import OrientedGraph, require_edge
+from .verifier import bound_eq_checks, bound_mults
 
 # Scale of the certified lower-bound constant: bounds are numerator / 2**14.
 LOWER_BOUND_SCALE = 2**14
@@ -61,8 +62,7 @@ class TriploidParams:
 def is_rhomboid(graph: OrientedGraph, a: int, b: int, c: int, d: int) -> bool:
     """Literal check of the square conditions plus corner distinctness."""
     for e in (a, b, c, d):
-        if not 0 <= e < graph.edge_count:
-            raise ValueError(f"invalid edge id {e!r}")
+        require_edge(graph, e)
     origin, tail = graph.origin, graph.tail
     if origin(a) != origin(c) or tail(b) != tail(d):
         return False
@@ -213,27 +213,27 @@ def rank_bounds(n: int, m: int) -> dict:
     """
     if n < 1 or m < 1:
         raise ValueError("rank_bounds requires n, m >= 1")
-    cap = min(n * n, m)
+    base = min(n * n, m) * min(n, m)
     return {
-        "eta_upper": cap * min(n, m + 1) + m,
-        "nu_upper": cap * min(n, m + 1),
-        "eta_lower": Fraction(cap * min(n, m) + m, LOWER_BOUND_SCALE),
-        "nu_lower": Fraction(cap * min(n, m), LOWER_BOUND_SCALE),
+        "eta_upper": bound_eq_checks(n, m),
+        "nu_upper": bound_mults(n, m),
+        "eta_lower": Fraction(base + m, LOWER_BOUND_SCALE),
+        "nu_lower": Fraction(base, LOWER_BOUND_SCALE),
     }
 
 
 def verify_nu_ge(n: int, m: int) -> dict:
-    """Build the (n, m) triploid and check both certified lower-bound
-    inequalities with scaled-integer (hence exact) arithmetic."""
+    """Check both certified lower-bound inequalities for the (n, m) triploid
+    in exact rational arithmetic.  The rhomboid family size and the loop
+    count are the closed forms that `explicit_rhomboid_family` and
+    `triploid` realize, so nothing is materialized."""
     params = choose_triploid(n, m)
-    graph = triploid(params)
-    rh = len(explicit_rhomboid_family(params))
-    loops = loop_count(graph)
-    base = min(m, n * n) * min(m, n)
+    rh = params.n1 * params.n3 * (params.n2 // 2)
+    bounds = rank_bounds(n, m)
     return {
         "params": params,
         "rh_family_size": rh,
-        "loops": loops,
-        "inequality_1_holds": (rh + loops) * LOWER_BOUND_SCALE >= base + m,
-        "inequality_2_holds": rh * LOWER_BOUND_SCALE >= base,
+        "loops": params.loops,
+        "inequality_1_holds": rh + params.loops >= bounds["eta_lower"],
+        "inequality_2_holds": rh >= bounds["nu_lower"],
     }

@@ -19,7 +19,7 @@ import json
 import re
 from fractions import Fraction
 
-from .graph import OrientedGraph
+from .graph import OrientedGraph, require_edge
 from .monoid import (
     ADDITIVE,
     FREE,
@@ -77,8 +77,7 @@ def label_of_sequence(diagram: Diagram, edge_ids):
     labels = diagram.labels
     result = None
     for e in edge_ids:
-        if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < len(labels):
-            raise ValueError(f"invalid edge id {e!r}")
+        require_edge(diagram.graph, e)
         result = labels[e] if result is None else mon.op(result, labels[e])
     return mon.identity() if result is None else result
 
@@ -158,18 +157,17 @@ def _load_json(text, what):
         raise DiagramFormatError(f"{what}: invalid JSON: {exc}") from exc
 
 
-def parse_diagram(text: str) -> Diagram:
-    """Parse and validate a diagram document; errors carry their location."""
-    doc = _load_json(text, "diagram")
-    _expect_keys(doc, ("vertices", "monoid", "edges"), "top level")
-    vertices = _expect_int(doc["vertices"], "vertices", minimum=0)
-    monoid = _parse_monoid(doc["monoid"])
+def _parse_edges(doc, vertices, monoid=None):
+    """The edge list as (pairs, labels), validated entry by entry in file
+    order: keys, origin, tail, both ranges, then the label when a monoid is
+    given (a bare graph has no labels)."""
+    keys = ("origin", "tail") if monoid is None else ("origin", "tail", "label")
     if not isinstance(doc["edges"], list):
         _fail("edges", "expected a list")
     pairs = []
     labels = []
     for i, entry in enumerate(doc["edges"]):
-        _expect_keys(entry, ("origin", "tail", "label"), f"edges[{i}]")
+        _expect_keys(entry, keys, f"edges[{i}]")
         origin = _expect_int(entry["origin"], f"edges[{i}].origin", minimum=0)
         tail = _expect_int(entry["tail"], f"edges[{i}].tail", minimum=0)
         if origin >= vertices:
@@ -177,7 +175,18 @@ def parse_diagram(text: str) -> Diagram:
         if tail >= vertices:
             _fail(f"edges[{i}].tail", f"endpoint {tail} out of range for {vertices} vertices")
         pairs.append((origin, tail))
-        labels.append(_parse_label(entry["label"], monoid, f"edges[{i}].label"))
+        if monoid is not None:
+            labels.append(_parse_label(entry["label"], monoid, f"edges[{i}].label"))
+    return pairs, labels
+
+
+def parse_diagram(text: str) -> Diagram:
+    """Parse and validate a diagram document; errors carry their location."""
+    doc = _load_json(text, "diagram")
+    _expect_keys(doc, ("vertices", "monoid", "edges"), "top level")
+    vertices = _expect_int(doc["vertices"], "vertices", minimum=0)
+    monoid = _parse_monoid(doc["monoid"])
+    pairs, labels = _parse_edges(doc, vertices, monoid)
     return Diagram(OrientedGraph(vertices, pairs), monoid, labels)
 
 
@@ -186,18 +195,7 @@ def parse_graph(text: str) -> OrientedGraph:
     doc = _load_json(text, "graph")
     _expect_keys(doc, ("vertices", "edges"), "top level")
     vertices = _expect_int(doc["vertices"], "vertices", minimum=0)
-    if not isinstance(doc["edges"], list):
-        _fail("edges", "expected a list")
-    pairs = []
-    for i, entry in enumerate(doc["edges"]):
-        _expect_keys(entry, ("origin", "tail"), f"edges[{i}]")
-        origin = _expect_int(entry["origin"], f"edges[{i}].origin", minimum=0)
-        tail = _expect_int(entry["tail"], f"edges[{i}].tail", minimum=0)
-        if origin >= vertices:
-            _fail(f"edges[{i}].origin", f"endpoint {origin} out of range for {vertices} vertices")
-        if tail >= vertices:
-            _fail(f"edges[{i}].tail", f"endpoint {tail} out of range for {vertices} vertices")
-        pairs.append((origin, tail))
+    pairs, _ = _parse_edges(doc, vertices)
     return OrientedGraph(vertices, pairs)
 
 

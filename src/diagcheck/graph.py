@@ -95,6 +95,13 @@ def is_valid_path(graph: OrientedGraph, path: Path) -> bool:
     return True
 
 
+def require_edge(graph: OrientedGraph, edge) -> None:
+    """Raise ValueError unless ``edge`` is an edge id of ``graph``; booleans
+    and non-integers never are."""
+    if not isinstance(edge, int) or isinstance(edge, bool) or not 0 <= edge < graph.edge_count:
+        raise ValueError(f"invalid edge id {edge!r}")
+
+
 # ---------------------------------------------------------------------------
 # Structural predicates
 

@@ -212,23 +212,13 @@ def identity(monoid):
 
 
 def op(a, b):
-    """The monoid product a * b; both operands must share one instance."""
-    mon = a.monoid
-    if b.monoid != mon:
-        raise MonoidMismatchError(
-            f"operands from different monoid instances: {a.monoid.descriptor()} vs {b.monoid.descriptor()}"
-        )
-    return mon.op(a, b)
+    """The monoid product a * b; a's instance rejects a foreign b."""
+    return a.monoid.op(a, b)
 
 
 def eq(a, b) -> bool:
-    """Decidable equality in the shared monoid instance."""
-    mon = a.monoid
-    if b.monoid != mon:
-        raise MonoidMismatchError(
-            f"operands from different monoid instances: {a.monoid.descriptor()} vs {b.monoid.descriptor()}"
-        )
-    return mon.eq(a, b)
+    """Decidable equality in a's instance, which rejects a foreign b."""
+    return a.monoid.eq(a, b)
 
 
 # ---------------------------------------------------------------------------

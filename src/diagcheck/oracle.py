@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .diagram import Diagram, label_of_sequence
 from .errors import BudgetExceededError
-from .graph import OrientedGraph, is_valid_path
+from .graph import OrientedGraph, is_valid_path, require_edge
 from .verifier import MultiEdgeMismatch, NonIdentityLoop, PathMismatch
 
 DEFAULT_WALK_BUDGET = 10**6
@@ -37,23 +37,35 @@ class WalkEnumeration:
         return sum(len(walks) for walks in self.groups.values())
 
 
-def enumerate_walks(graph: OrientedGraph, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> WalkEnumeration:
-    """Complete, duplicate-free walk enumeration up to the length bound."""
+def _walks(graph: OrientedGraph, length_bound: int, budget: int, empty, op, labels):
+    """Every walk up to the length bound, depth-first from each start vertex
+    in turn, as ((start, end), label): ``empty()`` once per start, then one
+    ``op(label, labels[e])`` per extension.  Raises past ``budget`` walks."""
     if length_bound < 0:
         raise ValueError("length bound must be non-negative")
-    groups: dict = {}
     count = 0
     for start in range(graph.vertex_count):
-        stack = [((), start)]
+        stack = [(0, start, empty())]
         while stack:
-            edges, at = stack.pop()
+            length, at, value = stack.pop()
             count += 1
             if count > budget:
                 raise BudgetExceededError(f"walk budget of {budget} exceeded")
-            groups.setdefault((start, at), []).append(edges)
-            if len(edges) < length_bound:
+            yield (start, at), value
+            if length < length_bound:
                 for e in reversed(graph.adjacency[at]):
-                    stack.append((edges + (e,), graph.tail(e)))
+                    stack.append((length + 1, graph.tail(e), op(value, labels[e])))
+
+
+def enumerate_walks(graph: OrientedGraph, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> WalkEnumeration:
+    """Complete, duplicate-free walk enumeration up to the length bound.
+
+    A walk's edge-id tuple is its label in the free monoid on edge ids.
+    """
+    groups: dict = {}
+    edge_words = [(e,) for e in range(graph.edge_count)]
+    for key, edges in _walks(graph, length_bound, budget, tuple, tuple.__add__, edge_words):
+        groups.setdefault(key, []).append(edges)
     return WalkEnumeration(length_bound, groups)
 
 
@@ -64,35 +76,15 @@ def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WAL
     product per walk extension) and each walk is compared against the first
     one seen for its endpoint pair.
     """
-    if length_bound < 0:
-        raise ValueError("length bound must be non-negative")
-    graph = diagram.graph
-    labels = diagram.labels
     mon = diagram.monoid
     reference: dict = {}
-    count = 0
-    for start in range(graph.vertex_count):
-        stack = [(0, start, mon.identity())]
-        while stack:
-            length, at, value = stack.pop()
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(f"walk budget of {budget} exceeded")
-            key = (start, at)
-            if key in reference:
-                if not mon.eq(value, reference[key]):
-                    return False
-            else:
-                reference[key] = value
-            if length < length_bound:
-                for e in reversed(graph.adjacency[at]):
-                    stack.append((length + 1, graph.tail(e), mon.op(value, labels[e])))
+    for key, value in _walks(diagram.graph, length_bound, budget, mon.identity, mon.op, diagram.labels):
+        if key in reference:
+            if not mon.eq(value, reference[key]):
+                return False
+        else:
+            reference[key] = value
     return True
-
-
-def _require_edge(graph: OrientedGraph, edge) -> None:
-    if not isinstance(edge, int) or isinstance(edge, bool) or not 0 <= edge < graph.edge_count:
-        raise ValueError(f"witness refers to invalid edge id {edge!r}")
 
 
 def validate_witness(diagram: Diagram, witness) -> bool:
@@ -105,13 +97,13 @@ def validate_witness(diagram: Diagram, witness) -> bool:
     graph = diagram.graph
     mon = diagram.monoid
     if isinstance(witness, NonIdentityLoop):
-        _require_edge(graph, witness.edge)
+        require_edge(graph, witness.edge)
         if not graph.is_loop(witness.edge):
             return False
         return not mon.eq(diagram.labels[witness.edge], mon.identity())
     if isinstance(witness, MultiEdgeMismatch):
-        _require_edge(graph, witness.edge)
-        _require_edge(graph, witness.kept)
+        require_edge(graph, witness.edge)
+        require_edge(graph, witness.kept)
         e, kept = witness.edge, witness.kept
         if e == kept or graph.is_loop(e):
             return False
@@ -121,7 +113,7 @@ def validate_witness(diagram: Diagram, witness) -> bool:
     if isinstance(witness, PathMismatch):
         for path in (witness.path1, witness.path2):
             for e in path.edges:
-                _require_edge(graph, e)
+                require_edge(graph, e)
         if not is_valid_path(graph, witness.path1) or not is_valid_path(graph, witness.path2):
             return False
         if witness.path1.origin != witness.path2.origin or witness.path1.tail != witness.path2.tail:

@@ -317,16 +317,14 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
 # Closed-form operation bounds
 
 
-def bound_eq_checks(n: int, m: int, reduced_edges: int | None = None) -> int:
-    """Upper bound on equality checks for an n-vertex, m-edge input; with the
-    reduced edge count supplied, the tighter post-reduction form."""
-    if reduced_edges is None:
-        return min(n * n, m) * min(n, m + 1) + m
-    return reduced_edges * min(n, reduced_edges + 1) + m
-
-
 def bound_mults(n: int, m: int, reduced_edges: int | None = None) -> int:
-    """Upper bound on multiplications; same shape without the +m term."""
-    if reduced_edges is None:
-        return min(n * n, m) * min(n, m + 1)
-    return reduced_edges * min(n, reduced_edges + 1)
+    """Upper bound on multiplications for an n-vertex, m-edge input; with the
+    reduced edge count supplied, the tighter post-reduction form."""
+    cap = min(n * n, m) if reduced_edges is None else reduced_edges
+    return cap * min(n, cap + 1)
+
+
+def bound_eq_checks(n: int, m: int, reduced_edges: int | None = None) -> int:
+    """Upper bound on equality checks: the multiplication bound plus one
+    check per input edge."""
+    return bound_mults(n, m, reduced_edges) + m

@@ -147,3 +147,29 @@ def test_graph_round_trip():
     assert parse_graph(serialize_graph(graph)) == graph
     with pytest.raises(DiagramFormatError):
         parse_graph('{"vertices": 1, "edges": [{"origin": 0, "tail": 1}]}')
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ('{"vertices": 1, "edges": {}}', "edges: expected a list"),
+        ('{"vertices": 1, "edges": [{"origin": 0}]}', "edges[0]: missing key 'tail'"),
+        ('{"vertices": 1, "edges": [{"origin": 0, "tail": 0, "label": []}]}', "edges[0]: unknown key 'label'"),
+        ('{"vertices": 1, "edges": [{"origin": "0", "tail": 0}]}', "edges[0].origin: expected an integer"),
+        ('{"vertices": 2, "edges": [{"origin": 0, "tail": 1}, {"origin": 0, "tail": 2}]}', "edges[1].tail: endpoint 2"),
+    ],
+)
+def test_parse_graph_errors_carry_location(text, fragment):
+    with pytest.raises(DiagramFormatError) as excinfo:
+        parse_graph(text)
+    assert fragment in str(excinfo.value)
+
+
+def test_parse_reports_the_first_fault_in_file_order():
+    text = (
+        '{"vertices": 2, "monoid": {"family": "free"}, "edges": ['
+        '{"origin": 0, "tail": 1, "label": "x"}, {"origin": 0, "tail": 5, "label": []}]}'
+    )
+    with pytest.raises(DiagramFormatError) as excinfo:
+        parse_diagram(text)
+    assert str(excinfo.value).startswith("edges[0].label:")

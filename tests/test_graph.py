@@ -7,6 +7,9 @@ import random
 import pytest
 
 from diagcheck import (
+    FREE,
+    Diagram,
+    NonIdentityLoop,
     Path,
     TriploidParams,
     build,
@@ -14,13 +17,18 @@ from diagcheck import (
     has_triangle,
     is_2_path_bounded,
     is_quasi_acyclic,
+    is_rhomboid,
     is_valid_path,
+    label_of_sequence,
     loop_count,
+    nz_edge_labeling,
     strip_loops,
     triploid,
+    validate_witness,
+    word,
 )
 
-from .conftest import triangle_graph
+from .conftest import rhomboid_square_graph, triangle_graph
 
 
 def test_build_read_back_is_identity():
@@ -133,3 +141,17 @@ def test_quasi_acyclic_matches_cycle_search_on_random_graphs():
         m = rng.randint(0, 10)
         graph = build(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
         assert is_quasi_acyclic(graph) == (not _has_multi_vertex_cycle(graph))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_edge_ids_are_checked_alike_everywhere(bad):
+    square = rhomboid_square_graph()
+    labeled = Diagram(square, FREE, [word(e) for e in range(square.edge_count)])
+    with pytest.raises(ValueError):
+        is_rhomboid(square, bad, 1, 2, 3)
+    with pytest.raises(ValueError):
+        label_of_sequence(labeled, (bad,))
+    with pytest.raises(ValueError):
+        validate_witness(labeled, NonIdentityLoop(bad))
+    with pytest.raises(ValueError):
+        nz_edge_labeling(square, bad)

@@ -290,3 +290,13 @@ def test_trace_on_rhomboid_gap_records_single_violation():
     assert not report.commutative
     lhs, rhs = report.trace.relations[-1]
     assert {tuple(lhs), tuple(rhs)} == {(square.a, square.b), (square.c, square.d)}
+
+
+def test_unrefined_bounds_are_refined_bounds_at_the_capped_edge_count():
+    # The raw bounds are the paper's min(n^2, m) * min(n, m + 1) (+ m), and
+    # equal the refined ones at the capped edge count, including past n^2.
+    for n in range(41):
+        for m in range(2001):
+            cap = min(n * n, m)
+            assert bound_mults(n, m) == cap * min(n, m + 1) == bound_mults(n, m, cap), (n, m)
+            assert bound_eq_checks(n, m) == bound_mults(n, m, cap) + m, (n, m)
