@@ -316,6 +316,11 @@ def _cmd_bench(args) -> int:
         m_grid = [int(part) for part in args.m_grid.split(",") if part != ""]
         if not n_grid or not m_grid:
             raise ValueError("empty grid")
+        for flag, grid in (("--n-grid", n_grid), ("--m-grid", m_grid)):
+            if min(grid) < 0:
+                raise ValueError(f"{flag} value {min(grid)} is negative")
+        if 0 in n_grid and max(m_grid) > 0:
+            raise ValueError(f"--n-grid value 0 has no vertex for the {max(m_grid)} edges of --m-grid")
         if args.instances < 1:
             raise ValueError("--instances must be at least 1")
         rows = bench_rows(n_grid, m_grid, args.seed, args.instances)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class MonoidMismatchError(ValueError):
@@ -88,8 +89,22 @@ class IntMatrix:
         return matrix_monoid(self.k)
 
 
+def _trusted(cls, field: str, payload):
+    """A value of ``cls`` holding ``payload`` without re-validation.
+
+    Only for products of values that are already valid: the families are
+    closed under their operation, so the payload is valid by construction.
+    """
+    value = object.__new__(cls)
+    object.__setattr__(value, field, payload)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Instance descriptors
+#
+# ``op``/``eq`` test their operands inline and call ``_check`` only to raise
+# the mismatch error; products go through ``_trusted``.
 
 
 @dataclass(frozen=True)
@@ -102,13 +117,15 @@ class FreeMonoid:
         return FreeWord(())
 
     def op(self, a: FreeWord, b: FreeWord) -> FreeWord:
-        self._check(a)
-        self._check(b)
-        return FreeWord(a.letters + b.letters)
+        if not (isinstance(a, FreeWord) and isinstance(b, FreeWord)):
+            self._check(a)
+            self._check(b)
+        return _trusted(FreeWord, "letters", a.letters + b.letters)
 
     def eq(self, a: FreeWord, b: FreeWord) -> bool:
-        self._check(a)
-        self._check(b)
+        if not (isinstance(a, FreeWord) and isinstance(b, FreeWord)):
+            self._check(a)
+            self._check(b)
         return a.letters == b.letters
 
     def owns(self, value) -> bool:
@@ -132,13 +149,15 @@ class AdditiveMonoid:
         return AdditiveNumber(0)
 
     def op(self, a: AdditiveNumber, b: AdditiveNumber) -> AdditiveNumber:
-        self._check(a)
-        self._check(b)
-        return AdditiveNumber(a.value + b.value)
+        if not (isinstance(a, AdditiveNumber) and isinstance(b, AdditiveNumber)):
+            self._check(a)
+            self._check(b)
+        return _trusted(AdditiveNumber, "value", a.value + b.value)
 
     def eq(self, a: AdditiveNumber, b: AdditiveNumber) -> bool:
-        self._check(a)
-        self._check(b)
+        if not (isinstance(a, AdditiveNumber) and isinstance(b, AdditiveNumber)):
+            self._check(a)
+            self._check(b)
         return a.value == b.value
 
     def owns(self, value) -> bool:
@@ -163,17 +182,26 @@ class MatrixMonoid:
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(self.k)) for i in range(self.k)))
 
     def op(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
-        self._check(a)
-        self._check(b)
         k = self.k
-        ar, br = a.entries, b.entries
-        return IntMatrix(
-            tuple(tuple(sum(ar[i][t] * br[t][j] for t in range(k)) for j in range(k)) for i in range(k))
+        if not (
+            isinstance(a, IntMatrix) and isinstance(b, IntMatrix)
+            and len(a.entries) == k and len(b.entries) == k
+        ):
+            self._check(a)
+            self._check(b)
+        cols = tuple(zip(*b.entries))
+        return _trusted(
+            IntMatrix, "entries", tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a.entries])
         )
 
     def eq(self, a: IntMatrix, b: IntMatrix) -> bool:
-        self._check(a)
-        self._check(b)
+        k = self.k
+        if not (
+            isinstance(a, IntMatrix) and isinstance(b, IntMatrix)
+            and len(a.entries) == k and len(b.entries) == k
+        ):
+            self._check(a)
+            self._check(b)
         return a.entries == b.entries
 
     def owns(self, value) -> bool:

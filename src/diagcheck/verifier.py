@@ -130,6 +130,11 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _tails(graph) -> list[int]:
+    """Edge id -> tail vertex, as one flat list for the hot loops."""
+    return [t for _, t in graph.edges]
+
+
 class WorkingDiagram:
     """Mutable adjacency copy the reduction phases edit; the source diagram
     and its graph are never touched."""
@@ -137,6 +142,7 @@ class WorkingDiagram:
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
         self.adjacency = [list(out) for out in diagram.graph.adjacency]
+        self.tails = _tails(diagram.graph)
 
     def remaining_edge_count(self) -> int:
         return sum(len(out) for out in self.adjacency)
@@ -145,19 +151,20 @@ class WorkingDiagram:
 def remove_loops(working: WorkingDiagram, counters: Counters, trace: RelationTrace | None = None):
     """Check every loop against the identity and drop it; first failure wins."""
     diagram = working.diagram
-    graph = diagram.graph
     labels = diagram.labels
     mon = diagram.monoid
+    eq = mon.eq
+    tails = working.tails
     one = mon.identity()
-    for v in range(graph.vertex_count):
+    for v in range(diagram.graph.vertex_count):
         out = working.adjacency[v]
         kept = []
         for pos, e in enumerate(out):
-            if graph.tail(e) == v:
+            if tails[e] == v:
                 counters.eq_loops += 1
                 if trace is not None:
                     trace.relations.append(((e,), ()))
-                if not mon.eq(labels[e], one):
+                if not eq(labels[e], one):
                     working.adjacency[v] = kept + out[pos:]
                     return NonIdentityLoop(e)
             else:
@@ -173,10 +180,10 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters, trace: Re
     phase is linear in vertices plus edges.  Assumes loops are already gone.
     """
     diagram = working.diagram
-    graph = diagram.graph
     labels = diagram.labels
-    mon = diagram.monoid
-    n = graph.vertex_count
+    eq = diagram.monoid.eq
+    tails = working.tails
+    n = diagram.graph.vertex_count
     stamp = [-1] * n
     kept_label = [None] * n
     kept_edge = [0] * n
@@ -184,7 +191,7 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters, trace: Re
         out = working.adjacency[v]
         kept = []
         for pos, e in enumerate(out):
-            u = graph.tail(e)
+            u = tails[e]
             if stamp[u] != v:
                 stamp[u] = v
                 kept_label[u] = labels[e]
@@ -194,7 +201,7 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters, trace: Re
                 counters.eq_multi += 1
                 if trace is not None:
                     trace.relations.append(((e,), (kept_edge[u],)))
-                if not mon.eq(labels[e], kept_label[u]):
+                if not eq(labels[e], kept_label[u]):
                     working.adjacency[v] = kept + out[pos:]
                     return MultiEdgeMismatch(e, kept_edge[u])
         working.adjacency[v] = kept
@@ -204,11 +211,12 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters, trace: Re
 class _DfsScratch:
     """Per-verify arrays; stamps make per-root resets O(1)."""
 
-    def __init__(self, n: int, tracing: bool):
+    def __init__(self, n: int, tracing: bool, tails: list[int]):
         self.visited = [-1] * n
         self.m_value = [None] * n
         self.parent_edge = [-1] * n
         self.sequence = [None] * n if tracing else None
+        self.tails = tails
 
 
 def _tree_path(graph, parent_edge, root: int, vertex: int) -> tuple[int, ...]:
@@ -222,9 +230,11 @@ def _tree_path(graph, parent_edge, root: int, vertex: int) -> tuple[int, ...]:
 
 
 def _dfs_from(adjacency, diagram, root, counters, trace, scratch, stamp):
-    graph = diagram.graph
     labels = diagram.labels
     mon = diagram.monoid
+    op = mon.op
+    eq = mon.eq
+    tails = scratch.tails
     visited = scratch.visited
     m_value = scratch.m_value
     parent_edge = scratch.parent_edge
@@ -234,46 +244,52 @@ def _dfs_from(adjacency, diagram, root, counters, trace, scratch, stamp):
     m_value[root] = mon.identity()
     if sequence is not None:
         sequence[root] = ()
-    stack = [(root, 0)]
-    while stack:
-        v, pos = stack[-1]
-        out = adjacency[v]
-        if pos == len(out):
-            stack.pop()
-            continue
-        stack[-1] = (v, pos + 1)
-        e = out[pos]
-        u = graph.tail(e)
-        counters.mult_dfs += 1
-        product = mon.op(m_value[v], labels[e])
-        if trace is not None:
-            trace.products.append((sequence[v], (e,)))
-        if visited[u] != stamp:
-            visited[u] = stamp
-            m_value[u] = product
-            parent_edge[u] = e
-            if sequence is not None:
-                sequence[u] = sequence[v] + (e,)
-            stack.append((u, 0))
-        else:
-            counters.eq_dfs += 1
-            if trace is not None:
-                trace.relations.append((sequence[u], sequence[v] + (e,)))
-            if not mon.eq(m_value[u], product):
-                stored = _tree_path(graph, parent_edge, root, u)
-                derived = _tree_path(graph, parent_edge, root, v) + (e,)
-                return PathMismatch(
-                    Path(stored, root, u),
-                    Path(derived, root, u),
-                )
-    return None
+    # Each frame holds its vertex and the iterator over its remaining out-edges;
+    # the counts live in locals and reach ``counters`` on every exit.
+    stack = [(root, iter(adjacency[root]))]
+    mults = eqs = 0
+    try:
+        while stack:
+            v, out = stack[-1]
+            value = m_value[v]
+            for e in out:
+                u = tails[e]
+                mults += 1
+                product = op(value, labels[e])
+                if trace is not None:
+                    trace.products.append((sequence[v], (e,)))
+                if visited[u] != stamp:
+                    visited[u] = stamp
+                    m_value[u] = product
+                    parent_edge[u] = e
+                    if sequence is not None:
+                        sequence[u] = sequence[v] + (e,)
+                    stack.append((u, iter(adjacency[u])))
+                    break
+                eqs += 1
+                if trace is not None:
+                    trace.relations.append((sequence[u], sequence[v] + (e,)))
+                if not eq(m_value[u], product):
+                    stored = _tree_path(diagram.graph, parent_edge, root, u)
+                    derived = _tree_path(diagram.graph, parent_edge, root, v) + (e,)
+                    return PathMismatch(
+                        Path(stored, root, u),
+                        Path(derived, root, u),
+                    )
+            else:
+                stack.pop()
+        return None
+    finally:
+        counters.mult_dfs += mults
+        counters.eq_dfs += eqs
 
 
 def dfs_check(diagram: Diagram, root: int, counters: Counters, trace: RelationTrace | None = None):
     """Label-checked DFS from one root on an already-reduced diagram (no
     loops, no parallel edges), with fresh marks and m-values."""
-    scratch = _DfsScratch(diagram.graph.vertex_count, tracing=trace is not None)
-    return _dfs_from(diagram.graph.adjacency, diagram, root, counters, trace, scratch, 0)
+    graph = diagram.graph
+    scratch = _DfsScratch(graph.vertex_count, trace is not None, _tails(graph))
+    return _dfs_from(graph.adjacency, diagram, root, counters, trace, scratch, 0)
 
 
 def reduced_edge_count(diagram: Diagram) -> int:
@@ -297,7 +313,7 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
         witness = remove_multiple_edges(working, counters, relation_trace)
     if witness is None:
         n = diagram.graph.vertex_count
-        scratch = _DfsScratch(n, tracing=trace)
+        scratch = _DfsScratch(n, trace, working.tails)
         for root in range(n):
             witness = _dfs_from(
                 working.adjacency, diagram, root, counters, relation_trace, scratch, root

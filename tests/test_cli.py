@@ -199,3 +199,25 @@ def test_bench_requires_seed():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--n-grid", "4", "--m-grid", "4"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "n_grid, m_grid, named",
+    [
+        ("3", "-2", "--m-grid value -2"),
+        ("-1,4", "3", "--n-grid value -1"),
+        ("0,5", "0,3", "--n-grid value 0"),
+    ],
+)
+def test_bench_rejects_invalid_grid_values(n_grid, m_grid, named, capsys):
+    args = ["bench", f"--n-grid={n_grid}", f"--m-grid={m_grid}", "--seed", "1", "--instances", "1"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_bench_accepts_the_empty_graph(capsys):
+    assert main(["bench", "--n-grid", "0", "--m-grid", "0", "--seed", "1", "--instances", "1"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["0", "0", "random"]]

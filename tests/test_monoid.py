@@ -148,3 +148,92 @@ def test_large_matrix_entries_stay_exact():
     big = matrix(((10**30, 0), (0, 10**30)))
     product = op(big, big)
     assert product.entries[0][0] == 10**60
+
+
+# ---------------------------------------------------------------------------
+# Descriptor kernels build products without re-validation; these tests pin
+# them to the public, validating constructors.
+
+_big = st.integers(min_value=2**64, max_value=2**70)
+_entries = st.one_of(st.integers(min_value=-5, max_value=5), _big, _big.map(lambda x: -x))
+_letters = st.lists(st.one_of(st.integers(min_value=0, max_value=9), _big), max_size=6)
+_rationals = st.one_of(st.integers(min_value=-9, max_value=9), _big, st.fractions())
+
+
+@st.composite
+def _matrix_pairs(draw):
+    k = draw(st.sampled_from((1, 2, 3, 8)))
+    grid = st.lists(st.lists(_entries, min_size=k, max_size=k), min_size=k, max_size=k)
+    return matrix(draw(grid)), matrix(draw(grid))
+
+
+def _reference_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    k = a.k
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            for t in range(k):
+                rows[i][j] += a.entries[i][t] * b.entries[t][j]
+    return matrix(rows)
+
+
+def _assert_equals_validated(mon, product, expected):
+    assert product == expected
+    assert hash(product) == hash(expected)
+    assert mon.owns(product)
+    assert mon.eq(product, expected)
+
+
+@given(_letters, _letters)
+def test_free_kernel_equals_validated_construction(x, y):
+    a, b = FreeWord(tuple(x)), FreeWord(tuple(y))
+    product = FREE.op(a, b)
+    _assert_equals_validated(FREE, product, FreeWord(a.letters + b.letters))
+    assert type(product.letters) is tuple
+
+
+@given(_rationals, _rationals)
+def test_additive_kernel_equals_validated_construction(x, y):
+    a, b = number(x), number(y)
+    product = ADDITIVE.op(a, b)
+    _assert_equals_validated(ADDITIVE, product, AdditiveNumber(a.value + b.value))
+    assert type(product.value) is Fraction
+
+
+@given(_matrix_pairs())
+def test_matrix_kernel_equals_validated_construction(pair):
+    a, b = pair
+    mon = matrix_monoid(a.k)
+    product = mon.op(a, b)
+    _assert_equals_validated(mon, product, _reference_product(a, b))
+    assert type(product.entries) is tuple
+    assert all(type(row) is tuple and len(row) == a.k for row in product.entries)
+    assert all(type(x) is int for row in product.entries for x in row)
+
+
+_FOREIGN = [
+    (FREE, word(1), number(1)),
+    (FREE, word(1), matrix_unit(2, 0, 1)),
+    (FREE, word(1), (1,)),
+    (FREE, word(1), 1),
+    (ADDITIVE, number(1), word(1)),
+    (ADDITIVE, number(1), 1),
+    (ADDITIVE, number(1), Fraction(1)),
+    (matrix_monoid(2), matrix_unit(2, 0, 1), matrix_unit(3, 0, 1)),
+    (matrix_monoid(3), matrix_unit(3, 0, 1), matrix_unit(2, 0, 1)),
+    (matrix_monoid(2), matrix_unit(2, 0, 1), word(1)),
+    (matrix_monoid(2), matrix_unit(2, 0, 1), ((1, 0), (0, 1))),
+    (matrix_monoid(2), matrix_unit(2, 0, 1), 1),
+]
+
+
+@pytest.mark.parametrize("method", ["op", "eq"])
+@pytest.mark.parametrize("mon, own, foreign", _FOREIGN)
+def test_descriptor_methods_refuse_foreign_operands(method, mon, own, foreign):
+    call = getattr(mon, method)
+    with pytest.raises(MonoidMismatchError, match="^expected an? "):
+        call(foreign, own)
+    with pytest.raises(MonoidMismatchError, match="^expected an? "):
+        call(own, foreign)
+    with pytest.raises(MonoidMismatchError, match="^expected an? "):
+        call(foreign, foreign)

@@ -300,3 +300,51 @@ def test_unrefined_bounds_are_refined_bounds_at_the_capped_edge_count():
             cap = min(n * n, m)
             assert bound_mults(n, m) == cap * min(n, m + 1) == bound_mults(n, m, cap), (n, m)
             assert bound_eq_checks(n, m) == bound_mults(n, m, cap) + m, (n, m)
+
+
+def _latest_potential_twin(seed: int, family: str, n: int = 16, m: int = 64) -> Diagram:
+    """A random potential labeling (it commutes) with one label perturbed:
+    of the perturbations the DFS catches, the one it catches last."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+    graph = build(n, edges)
+    if family == "additive":
+        phi = [rng.randint(-50, 50) for _ in range(n)]
+        mon, labels = ADDITIVE, [number(phi[t] - phi[o]) for o, t in edges]
+        bump = number(1)
+    else:
+        mon, labels, bump = FREE, [word()] * m, word(1)
+    best, best_mults = None, -1
+    for e in range(m):
+        twin = list(labels)
+        twin[e] = mon.op(labels[e], bump)
+        d = Diagram(graph, mon, twin)
+        report = verify(d)
+        if isinstance(report.witness, PathMismatch) and report.mult_total > best_mults:
+            best, best_mults = d, report.mult_total
+    return best
+
+
+def _deep_rejections():
+    params = TriploidParams(3, 2, 4, 2, 16)
+    graph = strip_loops(triploid(params))
+    yield rhomboid_gap_labeling(graph, explicit_rhomboid_family(params)[-1])
+    for seed in range(4):
+        for family in ("additive", "free"):
+            yield _latest_potential_twin(seed, family)
+
+
+def test_counters_are_flushed_on_a_deep_early_exit():
+    for d in _deep_rejections():
+        plain = verify(d)
+        assert isinstance(plain.witness, PathMismatch)
+        assert plain.counters.mult_dfs > d.graph.vertex_count
+        boxed, counting = boxed_diagram(d)
+        report = verify(boxed)
+        assert counting.op_calls == report.mult_total == plain.mult_total
+        assert counting.eq_calls == report.eq_total == plain.eq_total
+        assert report.witness == plain.witness
+        traced = verify(d, trace=True)
+        assert traced.counters == plain.counters
+        assert len(traced.trace.products) == plain.mult_total
+        assert len(traced.trace.relations) == plain.eq_total
