@@ -84,7 +84,6 @@ from .verifier import (
     VerificationReport,
     bound_eq_checks,
     bound_mults,
-    dfs_check,
     remove_loops,
     remove_multiple_edges,
     verify,

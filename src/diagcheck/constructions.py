@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
@@ -125,23 +126,9 @@ def explicit_rhomboid_family(params: TriploidParams) -> list[Rhomboid]:
 
 
 def _middle_row_size(n: int, m: int) -> int:
-    # Least t with n - 2t <= 0 or n^2 - 4m >= (n - 2t)^2.  This equals
-    # ceil((n - sqrt(max(0, n^2 - 4m))) / 2) without leaving the integers;
-    # the predicate is monotone in t, so binary search applies.
-    disc = n * n - 4 * m
-
-    def satisfied(t: int) -> bool:
-        rest = n - 2 * t
-        return rest <= 0 or disc >= rest * rest
-
-    lo, hi = 0, (n + 1) // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # Least t with n - 2t <= 0 or n^2 - 4m >= (n - 2t)^2, that is
+    # ceil((n - sqrt(max(0, n^2 - 4m))) / 2) without leaving the integers.
+    return (n - isqrt(max(0, n * n - 4 * m)) + 1) // 2
 
 
 def choose_triploid(n: int, m: int) -> TriploidParams:
@@ -177,9 +164,12 @@ def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = 10**6) -> list
     Within each adjacency list edge ids ascend, so the four nested scans
     below enumerate candidate tuples in lexicographic order.
     """
-    origin, tail = graph.origin, graph.tail
+    tail = graph.tail
     adjacency = graph.adjacency
     chosen: list[Rhomboid] = []
+    # A candidate is disjoint from every chosen rhomboid exactly when neither
+    # of its side pairs (a, b) and (c, d) is a side pair of a chosen one.
+    used_sides: set[tuple[int, int]] = set()
     steps = 0
     for a in range(graph.edge_count):
         x, y = graph.edges[a]
@@ -199,9 +189,10 @@ def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = 10**6) -> list
                         raise BudgetExceededError(f"rhomboid enumeration budget of {budget} exceeded")
                     if tail(d) != w:
                         continue
-                    candidate = Rhomboid(a, b, c, d)
-                    if all(are_disjoint(candidate, other) for other in chosen):
-                        chosen.append(candidate)
+                    if (a, b) not in used_sides and (c, d) not in used_sides:
+                        used_sides.add((a, b))
+                        used_sides.add((c, d))
+                        chosen.append(Rhomboid(a, b, c, d))
     return chosen
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import OrientedGraph, require_edge
@@ -35,10 +36,13 @@ class DiagramFormatError(ValueError):
     """Malformed diagram or graph document; the message carries the location."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Diagram:
     """An oriented graph labeled edge-by-edge from one monoid instance."""
 
-    __slots__ = ("graph", "monoid", "labels")
+    graph: OrientedGraph
+    monoid: object
+    labels: tuple
 
     def __init__(self, graph: OrientedGraph, monoid, labels):
         labels = tuple(labels)
@@ -50,21 +54,6 @@ class Diagram:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Diagram is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.monoid == other.monoid
-            and self.labels == other.labels
-        )
-
-    def __hash__(self):
-        return hash((self.graph, self.monoid, self.labels))
 
     def __repr__(self):
         return f"Diagram({self.graph!r}, monoid={self.monoid.descriptor()})"

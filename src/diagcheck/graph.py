@@ -7,13 +7,17 @@ and witness the verifier produces) bit for bit across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class OrientedGraph:
     """Immutable edge-table graph; edge ids index the input order."""
 
-    __slots__ = ("vertex_count", "edges", "adjacency")
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+    # Derived from the edge table, so equality and hashing leave it out.
+    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, vertex_count: int, edge_list):
         if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
@@ -29,9 +33,6 @@ class OrientedGraph:
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "adjacency", tuple(tuple(out) for out in adjacency))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrientedGraph is immutable")
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -45,14 +46,6 @@ class OrientedGraph:
     def is_loop(self, edge: int) -> bool:
         origin, tail = self.edges[edge]
         return origin == tail
-
-    def __eq__(self, other):
-        if not isinstance(other, OrientedGraph):
-            return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
 
     def __repr__(self):
         return f"OrientedGraph(vertices={self.vertex_count}, edges={len(self.edges)})"
@@ -160,50 +153,23 @@ def is_2_path_bounded(graph: OrientedGraph) -> bool:
 def is_quasi_acyclic(graph: OrientedGraph) -> bool:
     """Every strongly connected component is a single vertex (loops allowed).
 
-    Iterative Tarjan; bails out as soon as a component with two or more
-    vertices closes.
+    Kahn's peel: repeatedly remove a vertex with no incoming non-loop edge;
+    every vertex goes exactly when no cycle through two or more vertices
+    exists.
     """
-    n = graph.vertex_count
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    component = []
-    counter = 0
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                component.append(v)
-                on_stack[v] = True
-            out = graph.adjacency[v]
-            if edge_pos < len(out):
-                work[-1] = (v, edge_pos + 1)
-                u = graph.tail(out[edge_pos])
-                if index[u] == -1:
-                    work.append((u, 0))
-                elif on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    size = 0
-                    while True:
-                        w = component.pop()
-                        on_stack[w] = False
-                        size += 1
-                        if w == v:
-                            break
-                    if size > 1:
-                        return False
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-    return True
+    indegree = [0] * graph.vertex_count
+    for origin, tail in graph.edges:
+        if origin != tail:
+            indegree[tail] += 1
+    peeled = [v for v, d in enumerate(indegree) if d == 0]
+    for v in peeled:  # the list grows while it is walked
+        for e in graph.adjacency[v]:
+            u = graph.edges[e][1]
+            if u != v:
+                indegree[u] -= 1
+                if indegree[u] == 0:
+                    peeled.append(u)
+    return len(peeled) == graph.vertex_count
 
 
 def strip_loops(graph: OrientedGraph) -> OrientedGraph:

@@ -104,7 +104,8 @@ def _trusted(cls, field: str, payload):
 # Instance descriptors
 #
 # ``op``/``eq`` test their operands inline and call ``_check`` only to raise
-# the mismatch error; products go through ``_trusted``.
+# the mismatch error; products go through ``_trusted``.  Each instance builds
+# its identity once; values are immutable, so every caller may share it.
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,10 @@ class FreeMonoid:
     """Free words under concatenation; the identity is the empty word."""
 
     family = "free"
+    _one = FreeWord(())
 
     def identity(self) -> FreeWord:
-        return FreeWord(())
+        return self._one
 
     def op(self, a: FreeWord, b: FreeWord) -> FreeWord:
         if not (isinstance(a, FreeWord) and isinstance(b, FreeWord)):
@@ -144,9 +146,10 @@ class AdditiveMonoid:
     """Exact rationals under addition; the identity is 0."""
 
     family = "additive"
+    _one = AdditiveNumber(0)
 
     def identity(self) -> AdditiveNumber:
-        return AdditiveNumber(0)
+        return self._one
 
     def op(self, a: AdditiveNumber, b: AdditiveNumber) -> AdditiveNumber:
         if not (isinstance(a, AdditiveNumber) and isinstance(b, AdditiveNumber)):
@@ -178,8 +181,12 @@ class MatrixMonoid:
     k: int
     family = "matrix"
 
+    def __post_init__(self):
+        k = self.k
+        object.__setattr__(self, "_one", IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k))))
+
     def identity(self) -> IntMatrix:
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(self.k)) for i in range(self.k)))
+        return self._one
 
     def op(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
         k = self.k

@@ -43,6 +43,7 @@ def _walks(graph: OrientedGraph, length_bound: int, budget: int, empty, op, labe
     ``op(label, labels[e])`` per extension.  Raises past ``budget`` walks."""
     if length_bound < 0:
         raise ValueError("length bound must be non-negative")
+    tails = [t for _, t in graph.edges]
     count = 0
     for start in range(graph.vertex_count):
         stack = [(0, start, empty())]
@@ -54,7 +55,7 @@ def _walks(graph: OrientedGraph, length_bound: int, budget: int, empty, op, labe
             yield (start, at), value
             if length < length_bound:
                 for e in reversed(graph.adjacency[at]):
-                    stack.append((length + 1, graph.tail(e), op(value, labels[e])))
+                    stack.append((length + 1, tails[e], op(value, labels[e])))
 
 
 def enumerate_walks(graph: OrientedGraph, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> WalkEnumeration:
@@ -77,10 +78,11 @@ def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WAL
     one seen for its endpoint pair.
     """
     mon = diagram.monoid
+    eq = mon.eq
     reference: dict = {}
     for key, value in _walks(diagram.graph, length_bound, budget, mon.identity, mon.op, diagram.labels):
         if key in reference:
-            if not mon.eq(value, reference[key]):
+            if not eq(value, reference[key]):
                 return False
         else:
             reference[key] = value

@@ -17,7 +17,7 @@ stops at the first violation and returns a witness for it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .diagram import Diagram
 from .graph import Path
@@ -115,24 +115,13 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "commutative": self.commutative,
-            "counters": {
-                "eq_loops": self.counters.eq_loops,
-                "eq_multi": self.counters.eq_multi,
-                "eq_dfs": self.counters.eq_dfs,
-                "mult_dfs": self.counters.mult_dfs,
-                "reduced_edges": self.reduced_edges,
-            },
+            "counters": {**asdict(self.counters), "reduced_edges": self.reduced_edges},
             "witness": witness_to_dict(self.witness) if self.witness is not None else None,
             "trace": trace_to_dict(self.trace) if self.trace is not None else None,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-def _tails(graph) -> list[int]:
-    """Edge id -> tail vertex, as one flat list for the hot loops."""
-    return [t for _, t in graph.edges]
 
 
 class WorkingDiagram:
@@ -142,7 +131,7 @@ class WorkingDiagram:
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
         self.adjacency = [list(out) for out in diagram.graph.adjacency]
-        self.tails = _tails(diagram.graph)
+        self.tails = [t for _, t in diagram.graph.edges]
 
     def remaining_edge_count(self) -> int:
         return sum(len(out) for out in self.adjacency)
@@ -208,17 +197,6 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters, trace: Re
     return None
 
 
-class _DfsScratch:
-    """Per-verify arrays; stamps make per-root resets O(1)."""
-
-    def __init__(self, n: int, tracing: bool, tails: list[int]):
-        self.visited = [-1] * n
-        self.m_value = [None] * n
-        self.parent_edge = [-1] * n
-        self.sequence = [None] * n if tracing else None
-        self.tails = tails
-
-
 def _tree_path(graph, parent_edge, root: int, vertex: int) -> tuple[int, ...]:
     backwards = []
     while vertex != root:
@@ -229,67 +207,62 @@ def _tree_path(graph, parent_edge, root: int, vertex: int) -> tuple[int, ...]:
     return tuple(backwards)
 
 
-def _dfs_from(adjacency, diagram, root, counters, trace, scratch, stamp):
+def _dfs_all_roots(working: WorkingDiagram, counters: Counters, trace: RelationTrace | None):
+    """Label-checked DFS from every root in ascending order on the reduced
+    adjacency.  One set of arrays serves every root: a vertex counts as
+    visited only if its stamp is the current root, so resets are free."""
+    diagram = working.diagram
     labels = diagram.labels
     mon = diagram.monoid
     op = mon.op
     eq = mon.eq
-    tails = scratch.tails
-    visited = scratch.visited
-    m_value = scratch.m_value
-    parent_edge = scratch.parent_edge
-    sequence = scratch.sequence
-
-    visited[root] = stamp
-    m_value[root] = mon.identity()
-    if sequence is not None:
-        sequence[root] = ()
+    adjacency = working.adjacency
+    tails = working.tails
+    n = diagram.graph.vertex_count
+    visited = [-1] * n
+    m_value = [None] * n
+    parent_edge = [-1] * n
+    sequence = [None] * n if trace is not None else None
     # Each frame holds its vertex and the iterator over its remaining out-edges;
     # the counts live in locals and reach ``counters`` on every exit.
-    stack = [(root, iter(adjacency[root]))]
     mults = eqs = 0
     try:
-        while stack:
-            v, out = stack[-1]
-            value = m_value[v]
-            for e in out:
-                u = tails[e]
-                mults += 1
-                product = op(value, labels[e])
-                if trace is not None:
-                    trace.products.append((sequence[v], (e,)))
-                if visited[u] != stamp:
-                    visited[u] = stamp
-                    m_value[u] = product
-                    parent_edge[u] = e
-                    if sequence is not None:
-                        sequence[u] = sequence[v] + (e,)
-                    stack.append((u, iter(adjacency[u])))
-                    break
-                eqs += 1
-                if trace is not None:
-                    trace.relations.append((sequence[u], sequence[v] + (e,)))
-                if not eq(m_value[u], product):
-                    stored = _tree_path(diagram.graph, parent_edge, root, u)
-                    derived = _tree_path(diagram.graph, parent_edge, root, v) + (e,)
-                    return PathMismatch(
-                        Path(stored, root, u),
-                        Path(derived, root, u),
-                    )
-            else:
-                stack.pop()
+        for root in range(n):
+            visited[root] = root
+            m_value[root] = mon.identity()
+            if sequence is not None:
+                sequence[root] = ()
+            stack = [(root, iter(adjacency[root]))]
+            while stack:
+                v, out = stack[-1]
+                value = m_value[v]
+                for e in out:
+                    u = tails[e]
+                    mults += 1
+                    product = op(value, labels[e])
+                    if trace is not None:
+                        trace.products.append((sequence[v], (e,)))
+                    if visited[u] != root:
+                        visited[u] = root
+                        m_value[u] = product
+                        parent_edge[u] = e
+                        if sequence is not None:
+                            sequence[u] = sequence[v] + (e,)
+                        stack.append((u, iter(adjacency[u])))
+                        break
+                    eqs += 1
+                    if trace is not None:
+                        trace.relations.append((sequence[u], sequence[v] + (e,)))
+                    if not eq(m_value[u], product):
+                        stored = _tree_path(diagram.graph, parent_edge, root, u)
+                        derived = _tree_path(diagram.graph, parent_edge, root, v) + (e,)
+                        return PathMismatch(Path(stored, root, u), Path(derived, root, u))
+                else:
+                    stack.pop()
         return None
     finally:
         counters.mult_dfs += mults
         counters.eq_dfs += eqs
-
-
-def dfs_check(diagram: Diagram, root: int, counters: Counters, trace: RelationTrace | None = None):
-    """Label-checked DFS from one root on an already-reduced diagram (no
-    loops, no parallel edges), with fresh marks and m-values."""
-    graph = diagram.graph
-    scratch = _DfsScratch(graph.vertex_count, trace is not None, _tails(graph))
-    return _dfs_from(graph.adjacency, diagram, root, counters, trace, scratch, 0)
 
 
 def reduced_edge_count(diagram: Diagram) -> int:
@@ -312,14 +285,7 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
     if witness is None:
         witness = remove_multiple_edges(working, counters, relation_trace)
     if witness is None:
-        n = diagram.graph.vertex_count
-        scratch = _DfsScratch(n, trace, working.tails)
-        for root in range(n):
-            witness = _dfs_from(
-                working.adjacency, diagram, root, counters, relation_trace, scratch, root
-            )
-            if witness is not None:
-                break
+        witness = _dfs_all_roots(working, counters, relation_trace)
     return VerificationReport(
         commutative=witness is None,
         counters=counters,

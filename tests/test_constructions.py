@@ -145,6 +145,60 @@ def test_middle_row_size_matches_high_precision_ceiling():
             assert _middle_row_size(n, m) == expected
 
 
+def _middle_row_predicate(n: int, m: int, t: int) -> bool:
+    rest = n - 2 * t
+    return rest <= 0 or n * n - 4 * m >= rest * rest
+
+
+def test_middle_row_size_is_the_least_t_satisfying_its_predicate():
+    # Past m = n^2 / 4 the discriminant is negative and the answer no longer
+    # depends on m, so m up to n^2 // 4 + 1 and m = n^2 cover every case.
+    for n in range(0, 301):
+        for m in [*range(0, n * n // 4 + 2), n * n]:
+            t = _middle_row_size(n, m)
+            assert _middle_row_predicate(n, m, t), (n, m, t)
+            assert t == 0 or not _middle_row_predicate(n, m, t - 1), (n, m, t)
+
+
+def _first_fit_reference(graph):
+    """Every rhomboid in ascending (a, b, c, d) order, kept when pairwise
+    disjoint from those kept before, plus the number of (a, b, c, d)
+    prefixes the greedy scan steps through."""
+    edges = range(graph.edge_count)
+    origin, tail = graph.origin, graph.tail
+    chosen = []
+    steps = 0
+    for a in edges:
+        x, y = graph.edges[a]
+        for b in (b for b in edges if origin(b) == y):
+            w = tail(b)
+            for c in (c for c in edges if origin(c) == x):
+                z = tail(c)
+                for d in (d for d in edges if origin(d) == z):
+                    if x != y and w not in (x, y) and z not in (x, y, w):
+                        steps += 1
+                    if is_rhomboid(graph, a, b, c, d):
+                        candidate = Rhomboid(a, b, c, d)
+                        if all(are_disjoint(candidate, other) for other in chosen):
+                            chosen.append(candidate)
+    return chosen, steps
+
+
+def test_greedy_matches_pairwise_first_fit_on_random_graphs():
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(4, 5)
+        m = rng.randint(6, 14)
+        graph = build(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+        expected, steps = _first_fit_reference(graph)
+        assert greedy_disjoint_rhomboids(graph, budget=steps) == expected
+        if steps:
+            with pytest.raises(BudgetExceededError):
+                greedy_disjoint_rhomboids(graph, budget=steps - 1)
+    fig4 = triploid(TriploidParams(3, 2, 4, 2, 16))
+    assert greedy_disjoint_rhomboids(fig4) == _first_fit_reference(fig4)[0]
+
+
 def test_greedy_on_fig4_finds_the_full_family():
     graph = triploid(TriploidParams(3, 2, 4, 2, 16))
     family = greedy_disjoint_rhomboids(graph)

@@ -143,6 +143,38 @@ def test_quasi_acyclic_matches_cycle_search_on_random_graphs():
         assert is_quasi_acyclic(graph) == (not _has_multi_vertex_cycle(graph))
 
 
+def _all_components_single(graph) -> bool:
+    # Brute force: no two distinct vertices reach each other.
+    n = graph.vertex_count
+    reach = [[u == v for u in range(n)] for v in range(n)]
+    for origin, tail in graph.edges:
+        reach[origin][tail] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return not any(reach[i][j] and reach[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def test_quasi_acyclic_matches_mutual_reachability():
+    rng = random.Random(7)
+    assert is_quasi_acyclic(build(0, []))
+    assert is_quasi_acyclic(build(2, [(0, 1), (0, 1), (1, 1), (0, 0)]))
+    assert not is_quasi_acyclic(build(3, [(2, 2), (0, 1), (1, 0), (0, 1)]))
+    for _ in range(600):
+        n = rng.randint(0, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))] if n else []
+        if n >= 2 and rng.random() < 0.3:
+            u, v = rng.sample(range(n), 2)
+            pairs += [(u, v), (v, u)]
+        if pairs and rng.random() < 0.3:
+            pairs.append(rng.choice(pairs))
+        rng.shuffle(pairs)
+        graph = build(n, pairs)
+        assert is_quasi_acyclic(graph) == _all_components_single(graph), pairs
+
+
 @pytest.mark.parametrize("bad", [True, 1.5])
 def test_edge_ids_are_checked_alike_everywhere(bad):
     square = rhomboid_square_graph()

@@ -17,7 +17,6 @@ from diagcheck import (
     bound_eq_checks,
     bound_mults,
     build,
-    dfs_check,
     explicit_rhomboid_family,
     identity_matrix,
     label_of_sequence,
@@ -97,15 +96,17 @@ def test_remove_multiple_edges_simple_graph_zero_checks():
 
 def test_dfs_check_additive_triangle_commutes():
     d = Diagram(triangle_graph(), ADDITIVE, [number(1), number(2), number(3)])
-    counters = Counters()
-    assert dfs_check(d, 0, counters) is None
-    assert counters.mult_dfs == 3
-    assert counters.eq_dfs == 1
+    report = verify(d)
+    assert report.commutative and report.witness is None
+    # Root 0 makes 3 products and 1 check (edge 2 reaches the visited
+    # vertex 2); root 1 adds the product along edge 1; root 2 has no out-edge.
+    assert report.counters.mult_dfs == 4
+    assert report.counters.eq_dfs == 1
 
 
 def test_dfs_check_free_triangle_mismatch():
     d = Diagram(triangle_graph(), FREE, [word(0), word(1), word(2)])
-    witness = dfs_check(d, 0, Counters())
+    witness = verify(d).witness
     assert isinstance(witness, PathMismatch)
     assert witness.path1.edges == (0, 1)
     assert witness.path2.edges == (2,)
@@ -117,7 +118,7 @@ def test_dfs_check_rhomboid_gap_mismatch():
     graph = build(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
     labels = [matrix_unit(3, 0, 1), matrix_unit(3, 1, 2), zero_matrix(3), zero_matrix(3)]
     d = Diagram(graph, matrix_monoid(3), labels)
-    witness = dfs_check(d, 0, Counters())
+    witness = verify(d).witness
     assert witness == PathMismatch(Path((0, 1), 0, 3), Path((2, 3), 0, 3))
     assert validate_witness(d, witness)
 
