@@ -55,11 +55,17 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, code: int = 0) -> int:
+    """Print ``text``, after writing it to ``out_path`` when one is given, and
+    return ``code``.  A failed write is an error (exit 2), never a verdict."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            return _fail(str(exc))
     print(text)
+    return code
 
 
 def _read(path: str) -> str:
@@ -121,8 +127,7 @@ def _cmd_verify(args) -> int:
     except (OSError, DiagramFormatError) as exc:
         return _fail(str(exc))
     report = verify(diagram, trace=args.trace)
-    _emit(report.to_json(), args.report)
-    return 0 if report.commutative else 1
+    return _emit(report.to_json(), args.report, 0 if report.commutative else 1)
 
 
 def _cmd_oracle(args) -> int:
@@ -136,8 +141,7 @@ def _cmd_oracle(args) -> int:
     except (BudgetExceededError, ValueError) as exc:
         return _fail(str(exc))
     payload = {"commutative": commutative, "counters": None, "witness": None, "trace": None}
-    _emit(json.dumps(payload, indent=2), args.report)
-    return 0 if commutative else 1
+    return _emit(json.dumps(payload, indent=2), args.report, 0 if commutative else 1)
 
 
 def _cmd_gen(args) -> int:
@@ -145,8 +149,7 @@ def _cmd_gen(args) -> int:
         graph, _ = _resolve_graph(args)
     except (OSError, DiagramFormatError, ValueError) as exc:
         return _fail(str(exc))
-    _emit(serialize_graph(graph), args.out)
-    return 0
+    return _emit(serialize_graph(graph), args.out)
 
 
 def _fixture_diagram(args, graph: OrientedGraph, params: TriploidParams | None) -> Diagram:
@@ -188,8 +191,7 @@ def _cmd_fixtures(args) -> int:
         diagram = _fixture_diagram(args, graph, params)
     except (OSError, DiagramFormatError, LabelingPreconditionError, MonoidMismatchError, ValueError) as exc:
         return _fail(str(exc))
-    _emit(serialize_diagram(diagram), args.out)
-    return 0
+    return _emit(serialize_diagram(diagram), args.out)
 
 
 def _cmd_rhomboids(args) -> int:
@@ -204,8 +206,7 @@ def _cmd_rhomboids(args) -> int:
     except (OSError, DiagramFormatError, BudgetExceededError, ValueError) as exc:
         return _fail(str(exc))
     payload = [{"a": r.a, "b": r.b, "c": r.c, "d": r.d} for r in family]
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return _emit(json.dumps(payload, indent=2), args.out)
 
 
 def _cmd_bounds(args) -> int:
@@ -219,8 +220,7 @@ def _cmd_bounds(args) -> int:
         "eta_lower": f"{int(bounds['eta_lower'] * LOWER_BOUND_SCALE)}/{LOWER_BOUND_SCALE}",
         "nu_lower": f"{int(bounds['nu_lower'] * LOWER_BOUND_SCALE)}/{LOWER_BOUND_SCALE}",
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return _emit(json.dumps(payload, indent=2), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +332,11 @@ def _cmd_bench(args) -> int:
     writer.writerows(rows)
     text = buffer.getvalue()
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            return _fail(str(exc))
     else:
         sys.stdout.write(text)
     return 0

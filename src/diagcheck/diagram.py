@@ -74,7 +74,7 @@ def label_of_sequence(diagram: Diagram, edge_ids):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_RATIONAL_RE = re.compile(r"^-?\d+/[1-9]\d*$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+/[1-9][0-9]*")
 _FAMILIES = ("free", "additive", "matrix")
 
 
@@ -125,7 +125,7 @@ def _parse_label(raw, monoid, location):
     if family == "additive":
         if isinstance(raw, int) and not isinstance(raw, bool):
             return AdditiveNumber(raw)
-        if isinstance(raw, str) and _RATIONAL_RE.match(raw):
+        if isinstance(raw, str) and _RATIONAL_RE.fullmatch(raw):
             return AdditiveNumber(Fraction(raw))
         _fail(location, "additive label must be an integer or a 'p/q' string")
     k = monoid.k
@@ -196,10 +196,7 @@ def _encode_label(label):
     if isinstance(label, FreeWord):
         return list(label.letters)
     if isinstance(label, AdditiveNumber):
-        value = label.value
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return label.num if label.den == 1 else f"{label.num}/{label.den}"
     if isinstance(label, IntMatrix):
         return [list(row) for row in label.entries]
     raise TypeError(f"cannot serialize label of type {type(label).__name__}")

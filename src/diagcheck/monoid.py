@@ -2,9 +2,9 @@
 
 Three families cover everything the verifier, the generators, and the tests
 need: free words under concatenation, exact additive numbers, and k x k
-integer matrices under multiplication.  All arithmetic is exact (Python ints
-and fractions), so equality is always decidable and no tolerance parameter
-exists anywhere in the package.
+integer matrices under multiplication.  All arithmetic is exact (Python
+ints; rationals are reduced integer pairs), so equality is always decidable
+and no tolerance parameter exists anywhere in the package.
 
 Values are immutable and know their monoid instance; instances are small
 descriptor objects exposing ``identity``, ``op`` and ``eq``, which is the
@@ -13,8 +13,9 @@ only surface the verifier is allowed to touch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 
@@ -26,7 +27,29 @@ class MonoidMismatchError(ValueError):
 # Values
 
 
-@dataclass(frozen=True)
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls):
+    """Refuse every attribute assignment and deletion on ``cls``.
+
+    The ``__setattr__``/``__delattr__`` that ``dataclass(frozen=True,
+    slots=True)`` generates on Python 3.11 still name the class that the
+    slotted copy replaced, so a name that is not a field raises ``TypeError``
+    from ``super()`` instead of ``FrozenInstanceError``.
+    """
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_del
+    return cls
+
+
+@_frozen
+@dataclass(frozen=True, slots=True)
 class FreeWord:
     """Element of the free monoid: a finite sequence of generator ids."""
 
@@ -43,26 +66,39 @@ class FreeWord:
         return FREE
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class AdditiveNumber:
-    """Exact rational under addition."""
+    """Exact rational under addition, held as a normalized integer pair:
+    ``den > 0`` and ``gcd(num, den) == 1``, so equal values have equal pairs."""
 
-    value: Fraction
+    num: int
+    den: int
 
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, (int, Fraction)):
+    def __init__(self, value):
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise ValueError("additive value must be an int or a Fraction")
-        object.__setattr__(self, "value", Fraction(self.value))
+        value = Fraction(value)
+        object.__setattr__(self, "num", value.numerator)
+        object.__setattr__(self, "den", value.denominator)
+
+    def __repr__(self):
+        return f"AdditiveNumber(value={self.value!r})"
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @property
     def monoid(self) -> "AdditiveMonoid":
         return ADDITIVE
 
     def negate(self) -> "AdditiveNumber":
-        return AdditiveNumber(-self.value)
+        return _additive(-self.num, self.den)
 
 
-@dataclass(frozen=True)
+@_frozen
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Square matrix of exact integers under multiplication."""
 
@@ -89,23 +125,45 @@ class IntMatrix:
         return matrix_monoid(self.k)
 
 
-def _trusted(cls, field: str, payload):
-    """A value of ``cls`` holding ``payload`` without re-validation.
+# Trusted builders: a value holding an already-valid payload, set through the
+# slot descriptors without re-validation.  Only for payloads valid by
+# construction: products of valid values (each family is closed under its
+# operation) and the negation of a normalized pair.
 
-    Only for products of values that are already valid: the families are
-    closed under their operation, so the payload is valid by construction.
-    """
-    value = object.__new__(cls)
-    object.__setattr__(value, field, payload)
+_new = object.__new__
+_set_letters = FreeWord.letters.__set__
+_set_num = AdditiveNumber.num.__set__
+_set_den = AdditiveNumber.den.__set__
+_set_entries = IntMatrix.entries.__set__
+
+
+def _free_word(letters: tuple) -> FreeWord:
+    value = _new(FreeWord)
+    _set_letters(value, letters)
+    return value
+
+
+def _additive(num: int, den: int) -> AdditiveNumber:
+    value = _new(AdditiveNumber)
+    _set_num(value, num)
+    _set_den(value, den)
+    return value
+
+
+def _int_matrix(entries: tuple) -> IntMatrix:
+    value = _new(IntMatrix)
+    _set_entries(value, entries)
     return value
 
 
 # ---------------------------------------------------------------------------
 # Instance descriptors
 #
-# ``op``/``eq`` test their operands inline and call ``_check`` only to raise
-# the mismatch error; products go through ``_trusted``.  Each instance builds
-# its identity once; values are immutable, so every caller may share it.
+# ``op``/``eq`` accept operands of exactly their value class inline and call
+# ``_check`` otherwise, which raises the mismatch error for a foreign operand
+# and accepts a subclass; products go through the trusted builders.  Each
+# instance builds its identity once; values are immutable, so every caller
+# may share it.
 
 
 @dataclass(frozen=True)
@@ -119,13 +177,13 @@ class FreeMonoid:
         return self._one
 
     def op(self, a: FreeWord, b: FreeWord) -> FreeWord:
-        if not (isinstance(a, FreeWord) and isinstance(b, FreeWord)):
+        if not (type(a) is FreeWord and type(b) is FreeWord):
             self._check(a)
             self._check(b)
-        return _trusted(FreeWord, "letters", a.letters + b.letters)
+        return _free_word(a.letters + b.letters)
 
     def eq(self, a: FreeWord, b: FreeWord) -> bool:
-        if not (isinstance(a, FreeWord) and isinstance(b, FreeWord)):
+        if not (type(a) is FreeWord and type(b) is FreeWord):
             self._check(a)
             self._check(b)
         return a.letters == b.letters
@@ -152,16 +210,32 @@ class AdditiveMonoid:
         return self._one
 
     def op(self, a: AdditiveNumber, b: AdditiveNumber) -> AdditiveNumber:
-        if not (isinstance(a, AdditiveNumber) and isinstance(b, AdditiveNumber)):
+        if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
             self._check(a)
             self._check(b)
-        return _trusted(AdditiveNumber, "value", a.value + b.value)
+        # The steps of CPython's ``Fraction._add``, which leave the sum in
+        # lowest terms; equal denominators (integers above all) need one gcd.
+        na, da = a.num, a.den
+        nb, db = b.num, b.den
+        if da == db:
+            t = na + nb
+            g = gcd(t, da)
+            return _additive(t, da) if g == 1 else _additive(t // g, da // g)
+        g = gcd(da, db)
+        if g == 1:
+            return _additive(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _additive(t, s * db)
+        return _additive(t // g2, s * (db // g2))
 
     def eq(self, a: AdditiveNumber, b: AdditiveNumber) -> bool:
-        if not (isinstance(a, AdditiveNumber) and isinstance(b, AdditiveNumber)):
+        if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
             self._check(a)
             self._check(b)
-        return a.value == b.value
+        return a.num == b.num and a.den == b.den
 
     def owns(self, value) -> bool:
         return isinstance(value, AdditiveNumber)
@@ -191,20 +265,18 @@ class MatrixMonoid:
     def op(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
         k = self.k
         if not (
-            isinstance(a, IntMatrix) and isinstance(b, IntMatrix)
+            type(a) is IntMatrix and type(b) is IntMatrix
             and len(a.entries) == k and len(b.entries) == k
         ):
             self._check(a)
             self._check(b)
         cols = tuple(zip(*b.entries))
-        return _trusted(
-            IntMatrix, "entries", tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a.entries])
-        )
+        return _int_matrix(tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a.entries]))
 
     def eq(self, a: IntMatrix, b: IntMatrix) -> bool:
         k = self.k
         if not (
-            isinstance(a, IntMatrix) and isinstance(b, IntMatrix)
+            type(a) is IntMatrix and type(b) is IntMatrix
             and len(a.entries) == k and len(b.entries) == k
         ):
             self._check(a)

@@ -221,3 +221,25 @@ def test_bench_accepts_the_empty_graph(capsys):
     assert main(["bench", "--n-grid", "0", "--m-grid", "0", "--seed", "1", "--instances", "1"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert [row.split(",")[:3] for row in rows] == [["0", "0", "random"]]
+
+
+@pytest.mark.parametrize("commutes", [True, False])
+def test_verify_unwritable_report_exit_two(tmp_path, capsys, commutes):
+    # Exit 1 is the non-commutative verdict, so a failed write must not end
+    # with it (or with a traceback) on either side of the verdict.
+    diagram = kirchhoff_square() if commutes else rhomboid_gap_labeling(rhomboid_square_graph(), Rhomboid(0, 1, 2, 3))
+    path = _write(tmp_path, "d.json", serialize_diagram(diagram))
+    report = tmp_path / "missing" / "r.json"
+    assert main(["verify", path, "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(report) in captured.err
+
+
+def test_bench_unwritable_csv_exit_two(tmp_path, capsys):
+    csv_path = tmp_path / "missing" / "x.csv"
+    args = ["bench", "--n-grid", "4", "--m-grid", "4", "--seed", "1", "--instances", "1", "--csv", str(csv_path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(csv_path) in captured.err

@@ -117,6 +117,14 @@ def test_parse_matrix_and_rational_labels():
             '{"vertices": 1, "monoid": {"family": "additive"}, "edges": [{"origin": 0, "tail": 0, "label": "1.5"}]}',
             "edges[0].label",
         ),
+        (
+            '{"vertices": 1, "monoid": {"family": "additive"}, "edges": [{"origin": 0, "tail": 0, "label": "3/4\\n"}]}',
+            "edges[0].label",
+        ),
+        (
+            '{"vertices": 1, "monoid": {"family": "additive"}, "edges": [{"origin": 0, "tail": 0, "label": "\\u0663/4"}]}',
+            "edges[0].label",
+        ),
         ('{"vertices": 1, "monoid": {"family": "free", "k": 2}, "edges": []}', "unknown key 'k'"),
     ],
 )

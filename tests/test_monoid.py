@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diagcheck import (
@@ -209,6 +213,59 @@ def test_matrix_kernel_equals_validated_construction(pair):
     assert type(product.entries) is tuple
     assert all(type(row) is tuple and len(row) == a.k for row in product.entries)
     assert all(type(x) is int for row in product.entries for x in row)
+
+
+_signed_big = st.one_of(_big, _big.map(lambda x: -x))
+_additive_operands = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    _signed_big,
+    st.fractions(),
+    # Small denominators share factors often, which the reduced-sum steps need.
+    st.builds(Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=12)),
+    st.builds(Fraction, _signed_big, st.integers(min_value=1, max_value=2**70)),
+)
+
+
+@given(_additive_operands, st.one_of(_additive_operands, st.just(None)))
+# One example per branch of the kernel: equal denominators that reduce,
+# coprime denominators, a shared factor with and without a second reduction,
+# and a sum of zero.
+@example(Fraction(1, 6), Fraction(1, 6))
+@example(Fraction(1, 2), Fraction(-1, 3))
+@example(Fraction(1, 6), Fraction(1, 4))
+@example(Fraction(1, 6), Fraction(1, 3))
+@example(Fraction(-5, 12), Fraction(5, 12))
+def test_additive_kernel_is_normalized_fraction_addition(x, y):
+    y = x if y is None else y
+    a, b = number(x), number(y)
+    product = ADDITIVE.op(a, b)
+    assert product.value == x + y
+    assert type(product.num) is int and type(product.den) is int
+    assert product.den > 0 and gcd(product.num, product.den) == 1
+    assert product == number(x + y) and hash(product) == hash(number(x + y))
+    assert ADDITIVE.eq(product, number(x + y))
+    assert ADDITIVE.eq(a, b) == (Fraction(x) == Fraction(y))
+
+
+@pytest.mark.parametrize("value", [word(1, 2), number(Fraction(-3, 4)), matrix(((1, 2), (3, 4)))])
+def test_values_pickle_copy_and_stay_frozen(value):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+        assert value.monoid.eq(clone, value)
+    for name in (fields(value)[0].name, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_descriptor_methods_accept_subclass_operands():
+    class Word(FreeWord):
+        pass
+
+    assert FREE.op(Word((1,)), word(2)) == word(1, 2)
+    assert FREE.eq(word(1), Word((1,)))
 
 
 _FOREIGN = [
