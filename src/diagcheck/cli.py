@@ -55,17 +55,11 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _emit(text: str, out_path: str | None, code: int = 0) -> int:
-    """Print ``text``, after writing it to ``out_path`` when one is given, and
-    return ``code``.  A failed write is an error (exit 2), never a verdict."""
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            return _fail(str(exc))
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
     print(text)
-    return code
 
 
 def _read(path: str) -> str:
@@ -127,7 +121,8 @@ def _cmd_verify(args) -> int:
     except (OSError, DiagramFormatError) as exc:
         return _fail(str(exc))
     report = verify(diagram, trace=args.trace)
-    return _emit(report.to_json(), args.report, 0 if report.commutative else 1)
+    _emit(report.to_json(), args.report)
+    return 0 if report.commutative else 1
 
 
 def _cmd_oracle(args) -> int:
@@ -141,7 +136,8 @@ def _cmd_oracle(args) -> int:
     except (BudgetExceededError, ValueError) as exc:
         return _fail(str(exc))
     payload = {"commutative": commutative, "counters": None, "witness": None, "trace": None}
-    return _emit(json.dumps(payload, indent=2), args.report, 0 if commutative else 1)
+    _emit(json.dumps(payload, indent=2), args.report)
+    return 0 if commutative else 1
 
 
 def _cmd_gen(args) -> int:
@@ -149,7 +145,8 @@ def _cmd_gen(args) -> int:
         graph, _ = _resolve_graph(args)
     except (OSError, DiagramFormatError, ValueError) as exc:
         return _fail(str(exc))
-    return _emit(serialize_graph(graph), args.out)
+    _emit(serialize_graph(graph), args.out)
+    return 0
 
 
 def _fixture_diagram(args, graph: OrientedGraph, params: TriploidParams | None) -> Diagram:
@@ -191,7 +188,8 @@ def _cmd_fixtures(args) -> int:
         diagram = _fixture_diagram(args, graph, params)
     except (OSError, DiagramFormatError, LabelingPreconditionError, MonoidMismatchError, ValueError) as exc:
         return _fail(str(exc))
-    return _emit(serialize_diagram(diagram), args.out)
+    _emit(serialize_diagram(diagram), args.out)
+    return 0
 
 
 def _cmd_rhomboids(args) -> int:
@@ -206,7 +204,8 @@ def _cmd_rhomboids(args) -> int:
     except (OSError, DiagramFormatError, BudgetExceededError, ValueError) as exc:
         return _fail(str(exc))
     payload = [{"a": r.a, "b": r.b, "c": r.c, "d": r.d} for r in family]
-    return _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2), args.out)
+    return 0
 
 
 def _cmd_bounds(args) -> int:
@@ -220,7 +219,8 @@ def _cmd_bounds(args) -> int:
         "eta_lower": f"{int(bounds['eta_lower'] * LOWER_BOUND_SCALE)}/{LOWER_BOUND_SCALE}",
         "nu_lower": f"{int(bounds['nu_lower'] * LOWER_BOUND_SCALE)}/{LOWER_BOUND_SCALE}",
     }
-    return _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2), args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +332,8 @@ def _cmd_bench(args) -> int:
     writer.writerows(rows)
     text = buffer.getvalue()
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            return _fail(str(exc))
+        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -413,7 +410,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except OSError as exc:  # a failed --report/--out/--csv write is an error, never a verdict
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -214,13 +214,9 @@ class AdditiveMonoid:
             self._check(a)
             self._check(b)
         # The steps of CPython's ``Fraction._add``, which leave the sum in
-        # lowest terms; equal denominators (integers above all) need one gcd.
+        # lowest terms.
         na, da = a.num, a.den
         nb, db = b.num, b.den
-        if da == db:
-            t = na + nb
-            g = gcd(t, da)
-            return _additive(t, da) if g == 1 else _additive(t // g, da // g)
         g = gcd(da, db)
         if g == 1:
             return _additive(na * db + da * nb, da * db)

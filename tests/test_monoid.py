@@ -227,9 +227,9 @@ _additive_operands = st.one_of(
 
 
 @given(_additive_operands, st.one_of(_additive_operands, st.just(None)))
-# One example per branch of the kernel: equal denominators that reduce,
-# coprime denominators, a shared factor with and without a second reduction,
-# and a sum of zero.
+# Examples for the kernel's cases: equal denominators that reduce, coprime
+# denominators, a shared factor with and without a second reduction, and a
+# sum of zero.
 @example(Fraction(1, 6), Fraction(1, 6))
 @example(Fraction(1, 2), Fraction(-1, 3))
 @example(Fraction(1, 6), Fraction(1, 4))
