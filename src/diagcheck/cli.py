@@ -398,8 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("bench", help="counter-versus-bound CSV over instance grids")
-    p.add_argument("--n-grid", required=True, help="comma-separated vertex counts")
-    p.add_argument("--m-grid", required=True, help="comma-separated edge counts")
+    p.add_argument(
+        "--n-grid", required=True,
+        help="comma-separated vertex counts; write a list that starts with a negative value as --n-grid=-1,4",
+    )
+    p.add_argument(
+        "--m-grid", required=True,
+        help="comma-separated edge counts; write a list that starts with a negative value as --m-grid=-1,4",
+    )
     p.add_argument("--seed", type=int, required=True, help="seed for the random instances")
     p.add_argument("--instances", type=int, default=3, help="random instances per grid cell")
     p.add_argument("--csv", metavar="PATH", help="write the CSV to PATH instead of stdout")

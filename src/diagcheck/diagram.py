@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import frozen
 from .graph import OrientedGraph, require_edge
 from .monoid import (
     ADDITIVE,
@@ -36,6 +37,7 @@ class DiagramFormatError(ValueError):
     """Malformed diagram or graph document; the message carries the location."""
 
 
+@frozen
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Diagram:
     """An oriented graph labeled edge-by-edge from one monoid instance."""

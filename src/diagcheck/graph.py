@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import frozen
 
+
+@frozen
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class OrientedGraph:
     """Immutable edge-table graph; edge ids index the input order."""

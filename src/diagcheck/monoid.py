@@ -8,15 +8,22 @@ and no tolerance parameter exists anywhere in the package.
 
 Values are immutable and know their monoid instance; instances are small
 descriptor objects exposing ``identity``, ``op`` and ``eq``, which is the
-only surface the verifier is allowed to touch.
+only surface the verifier is allowed to touch.  Because values are immutable,
+``op`` may return one of its operands: ``FREE.op`` returns the other word when
+one word is empty.  Each matrix instance picks its product kernel once, by k:
+unrolled formulas for k = 2 and 3, and for any other k a row-by-row product
+that skips the zero entries of mostly-zero rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
-from operator import mul
+from operator import add, mul
+
+from .errors import frozen
 
 
 class MonoidMismatchError(ValueError):
@@ -27,28 +34,7 @@ class MonoidMismatchError(ValueError):
 # Values
 
 
-def _refuse_set(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_del(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _frozen(cls):
-    """Refuse every attribute assignment and deletion on ``cls``.
-
-    The ``__setattr__``/``__delattr__`` that ``dataclass(frozen=True,
-    slots=True)`` generates on Python 3.11 still name the class that the
-    slotted copy replaced, so a name that is not a field raises ``TypeError``
-    from ``super()`` instead of ``FrozenInstanceError``.
-    """
-    cls.__setattr__ = _refuse_set
-    cls.__delattr__ = _refuse_del
-    return cls
-
-
-@_frozen
+@frozen
 @dataclass(frozen=True, slots=True)
 class FreeWord:
     """Element of the free monoid: a finite sequence of generator ids."""
@@ -66,7 +52,7 @@ class FreeWord:
         return FREE
 
 
-@_frozen
+@frozen
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class AdditiveNumber:
     """Exact rational under addition, held as a normalized integer pair:
@@ -97,7 +83,7 @@ class AdditiveNumber:
         return _additive(-self.num, self.den)
 
 
-@_frozen
+@frozen
 @dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Square matrix of exact integers under multiplication."""
@@ -157,13 +143,62 @@ def _int_matrix(entries: tuple) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Matrix product kernels on row tuples.  ``MatrixMonoid`` picks one per k;
+# they are module-level functions so that instances still pickle.
+
+
+def _mul_2(a, b):
+    (p, q), (r, s) = a
+    (w, x), (y, z) = b
+    return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
+
+
+def _mul_3(a, b):
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return (
+        (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8),
+        (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8),
+        (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8),
+    )
+
+
+def _mul_rows(a, b):
+    """Any k.  A row of ``a`` with fewer than half zero entries takes dot
+    products with ``b``'s columns, which are transposed once, on the first
+    such row.  Any other row is the combination of ``b``'s rows at its nonzero
+    entries, reusing a row of ``b`` as is for a coefficient of 1."""
+    k = len(a)
+    half = (k + 1) >> 1
+    cols = None
+    rows = []
+    for row in a:
+        # ``all`` is the cheaper test, and it settles a fully dense row.
+        if all(row) or row.count(0) < half:
+            if cols is None:
+                cols = tuple(zip(*b))
+            rows.append(tuple([sum(map(mul, row, col)) for col in cols]))
+        else:
+            acc = None
+            for t in compress(range(k), row):
+                c = row[t]
+                term = b[t] if c == 1 else [c * x for x in b[t]]
+                acc = term if acc is None else list(map(add, acc, term))
+            rows.append((0,) * k if acc is None else tuple(acc))
+    return tuple(rows)
+
+
+_MUL_KERNELS = {2: _mul_2, 3: _mul_3}
+
+
+# ---------------------------------------------------------------------------
 # Instance descriptors
 #
 # ``op``/``eq`` accept operands of exactly their value class inline and call
 # ``_check`` otherwise, which raises the mismatch error for a foreign operand
 # and accepts a subclass; products go through the trusted builders.  Each
 # instance builds its identity once; values are immutable, so every caller
-# may share it.
+# may share it, and a product may be one of its operands.
 
 
 @dataclass(frozen=True)
@@ -180,7 +215,15 @@ class FreeMonoid:
         if not (type(a) is FreeWord and type(b) is FreeWord):
             self._check(a)
             self._check(b)
-        return _free_word(a.letters + b.letters)
+            return _free_word(a.letters + b.letters)
+        # Concatenating an empty tuple returns the other tuple itself; the
+        # word holding it is then the product.
+        letters = a.letters + b.letters
+        if letters is a.letters:
+            return a
+        if letters is b.letters:
+            return b
+        return _free_word(letters)
 
     def eq(self, a: FreeWord, b: FreeWord) -> bool:
         if not (type(a) is FreeWord and type(b) is FreeWord):
@@ -254,6 +297,7 @@ class MatrixMonoid:
     def __post_init__(self):
         k = self.k
         object.__setattr__(self, "_one", IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k))))
+        object.__setattr__(self, "_mul", _MUL_KERNELS.get(k, _mul_rows))
 
     def identity(self) -> IntMatrix:
         return self._one
@@ -266,8 +310,7 @@ class MatrixMonoid:
         ):
             self._check(a)
             self._check(b)
-        cols = tuple(zip(*b.entries))
-        return _int_matrix(tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a.entries]))
+        return _int_matrix(self._mul(a.entries, b.entries))
 
     def eq(self, a: IntMatrix, b: IntMatrix) -> bool:
         k = self.k

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -12,11 +15,13 @@ from diagcheck import (
     FREE,
     Diagram,
     DiagramFormatError,
+    IntMatrix,
     MonoidMismatchError,
     TriploidParams,
     build,
     eq,
     label_of_sequence,
+    matrix,
     matrix_monoid,
     matrix_unit,
     number,
@@ -26,6 +31,7 @@ from diagcheck import (
     serialize_diagram,
     serialize_graph,
     triploid,
+    verify,
     word,
     zero_matrix,
 )
@@ -181,3 +187,45 @@ def test_parse_reports_the_first_fault_in_file_order():
     with pytest.raises(DiagramFormatError) as excinfo:
         parse_diagram(text)
     assert str(excinfo.value).startswith("edges[0].label:")
+
+
+# ---------------------------------------------------------------------------
+# Records: the three value classes, graphs and diagrams.
+
+_GRAPH = build(2, [(0, 1)])
+_RECORDS = {
+    "FreeWord": (word(1, 2), "letters"),
+    "AdditiveNumber": (number(Fraction(-3, 4)), "num"),
+    "IntMatrix": (matrix(((1, 2), (3, 4))), "entries"),
+    "OrientedGraph": (_GRAPH, "edges"),
+    "Diagram": (Diagram(_GRAPH, FREE, [word(1)]), "labels"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_records_refuse_every_attribute_change(name):
+    record, field_name = _RECORDS[name]
+    assert type(record).__name__ == name
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, field_name, 1)
+    with pytest.raises(FrozenInstanceError):
+        record.extra = 1
+    with pytest.raises(FrozenInstanceError):
+        delattr(record, field_name)
+    with pytest.raises(FrozenInstanceError):
+        del record.extra
+
+
+def test_matrix_diagram_multiplies_after_pickle_and_deepcopy():
+    rng = random.Random(8)
+    dense = IntMatrix(tuple(tuple(rng.randint(-9, 9) or 1 for _ in range(8)) for _ in range(8)))
+    labels = [matrix_unit(8, 0, 3), dense, matrix_unit(8, 3, 5), zero_matrix(8), dense]
+    d = Diagram(build(4, [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)]), matrix_monoid(8), labels)
+    expected = verify(d).to_json()
+    for loaded in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert loaded == d
+        mon = loaded.monoid
+        assert mon.op(loaded.labels[0], loaded.labels[1]) == op(labels[0], dense)
+        assert mon.op(loaded.labels[1], loaded.labels[1]) == op(dense, dense)
+        assert label_of_sequence(loaded, (0, 1, 2)) == label_of_sequence(d, (0, 1, 2))
+        assert verify(loaded).to_json() == expected

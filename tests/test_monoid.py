@@ -164,11 +164,36 @@ _letters = st.lists(st.one_of(st.integers(min_value=0, max_value=9), _big), max_
 _rationals = st.one_of(st.integers(min_value=-9, max_value=9), _big, st.fractions())
 
 
+_coefficients = st.one_of(st.sampled_from((1, 1, -1, 2)), _entries.filter(bool))
+
+
+@st.composite
+def _rows(draw, k):
+    # The nonzero counts reach every branch of the row kernel: zero rows, one
+    # or two nonzeros, exactly half zeros and one zero fewer (the two sides of
+    # its threshold), and dense rows.
+    nonzeros = draw(st.sampled_from(sorted({0, 1, min(2, k), k // 2, k // 2 + 1, k})))
+    row = [0] * k
+    for t in draw(st.permutations(range(k)))[:nonzeros]:
+        row[t] = draw(_coefficients)
+    return row
+
+
+@st.composite
+def _matrices(draw, k):
+    kind = draw(st.sampled_from(("rows", "rows", "unit", "zero", "dense")))
+    if kind == "unit":
+        return matrix_unit(k, draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1)))
+    if kind == "zero":
+        return zero_matrix(k)
+    row = _rows(k) if kind == "rows" else st.lists(_entries, min_size=k, max_size=k)
+    return matrix(draw(st.lists(row, min_size=k, max_size=k)))
+
+
 @st.composite
 def _matrix_pairs(draw):
-    k = draw(st.sampled_from((1, 2, 3, 8)))
-    grid = st.lists(st.lists(_entries, min_size=k, max_size=k), min_size=k, max_size=k)
-    return matrix(draw(grid)), matrix(draw(grid))
+    k = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    return draw(_matrices(k)), draw(_matrices(k))
 
 
 def _reference_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -204,7 +229,24 @@ def test_additive_kernel_equals_validated_construction(x, y):
     assert type(product.value) is Fraction
 
 
+_B4 = matrix(((1, -2, 3, 2**64), (0, 5, 0, -7), (2**70, 1, 1, 1), (-1, 0, 0, 9)))
+
+
 @given(_matrix_pairs())
+# One example per kernel: the unrolled k = 2 and k = 3 formulas, and for the
+# row kernel each row branch: a fully dense row, a dense row holding a zero,
+# a zero row, a single coefficient of 1 (b's row reused), a single other
+# coefficient, two nonzeros (exactly half zero), and k = 1.
+@example((matrix(((1, -2), (2**64, 3))), matrix(((0, 5), (-1, 2**65)))))
+@example((matrix(((1, 0, -2), (0, 0, 0), (3, 2**64, 1))), matrix(((2, 1, 0), (0, -1, 4), (5, 0, 2**66)))))
+@example((matrix(((2, -3, 2**64, 5),) * 4), _B4))
+@example((matrix(((2, 0, 1, 3),) * 4), _B4))
+@example((zero_matrix(4), _B4))
+@example((matrix_unit(4, 1, 2), _B4))
+@example((matrix(((0, 0, 0, -(2**64)),) * 4), _B4))
+@example((matrix(((0, 1, 0, -3),) * 4), _B4))
+@example((matrix(((0,),)), matrix(((7,),))))
+@example((matrix(((-3,),)), matrix(((2**64,),))))
 def test_matrix_kernel_equals_validated_construction(pair):
     a, b = pair
     mon = matrix_monoid(a.k)
@@ -213,6 +255,19 @@ def test_matrix_kernel_equals_validated_construction(pair):
     assert type(product.entries) is tuple
     assert all(type(row) is tuple and len(row) == a.k for row in product.entries)
     assert all(type(x) is int for row in product.entries for x in row)
+
+
+def test_matrix_kernels_by_dimension():
+    assert matrix_monoid(2)._mul.__name__ == "_mul_2"
+    assert matrix_monoid(3)._mul.__name__ == "_mul_3"
+    assert {matrix_monoid(k)._mul.__name__ for k in (1, 4, 8, 16)} == {"_mul_rows"}
+
+
+def test_row_kernel_reuses_rows_for_a_coefficient_of_one():
+    a = matrix(((0, 0, 1, 0), (0, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0)))
+    product = matrix_monoid(4).op(a, _B4)
+    assert product == _reference_product(a, _B4)
+    assert product.entries[0] is _B4.entries[2]
 
 
 _signed_big = st.one_of(_big, _big.map(lambda x: -x))
@@ -258,6 +313,22 @@ def test_values_pickle_copy_and_stay_frozen(value):
             setattr(value, name, 1)
         with pytest.raises(AttributeError):
             delattr(value, name)
+
+
+def test_free_product_with_the_empty_word_is_the_other_operand():
+    w = word(3, 1, 4)
+    assert FREE.op(w, word()) is w
+    assert FREE.op(word(), w) is w
+    assert FREE.op(w, FREE.identity()) is w
+
+
+def test_free_product_never_returns_a_subclass_operand():
+    class Word(FreeWord):
+        pass
+
+    for product in (FREE.op(Word((1, 2)), word()), FREE.op(word(), Word((1, 2)))):
+        assert type(product) is FreeWord
+        assert product == word(1, 2)
 
 
 def test_descriptor_methods_accept_subclass_operands():
