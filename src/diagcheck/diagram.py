@@ -11,14 +11,24 @@ The wire format is a single JSON object::
 Matrix labels are row-major k x k integer grids (a list of k rows), additive
 labels are integers or exact "p/q" strings, free labels are lists of
 non-negative generator ids.  Edge order in the file is the edge id order.
+
+The parser accepts any JSON layout.  The writers emit one canonical layout:
+the bytes ``json.dumps(diagram_to_dict(d), indent=2)`` gives (the example
+above is compacted for reading), written directly rather than through the
+encoder.  An integer longer than the interpreter's int-string limit (4300
+digits by default), as a JSON number or inside a "p/q" label, is a format
+error like any other.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from math import gcd
 
 from .errors import frozen
 from .graph import OrientedGraph, require_edge
@@ -29,6 +39,9 @@ from .monoid import (
     FreeWord,
     IntMatrix,
     MonoidMismatchError,
+    _additive,
+    _free_word,
+    _int_matrix,
     matrix_monoid,
 )
 
@@ -75,20 +88,34 @@ def label_of_sequence(diagram: Diagram, edge_ids):
 
 # ---------------------------------------------------------------------------
 # Parsing
+#
+# ``json.loads`` yields exact ``int``/``list``/``dict``/``str`` values, so each
+# entry is tested once, inline, with ``type(x) is int``, which also refuses
+# booleans.  A location string is built only for the error raised, and the
+# first fault in file order is the one reported: keys, origin, tail, both
+# ranges, then the label.  Checked payloads go through the trusted builders,
+# so the value classes do not check every entry a second time.
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
 _FAMILIES = ("free", "additive", "matrix")
+_GRAPH_KEYS = ("origin", "tail")
+_DIAGRAM_KEYS = ("origin", "tail", "label")
 
 
 def _fail(location, message):
     raise DiagramFormatError(f"{location}: {message}")
 
 
-def _expect_int(value, location, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
+def _int_fault(value, location, minimum=None):
+    """Raise the error for ``value``, which failed the inline integer test."""
+    if type(value) is not int:
         _fail(location, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(location, f"expected an integer >= {minimum}, got {value}")
+    _fail(location, f"expected an integer >= {minimum}, got {value}")
+
+
+def _expect_int(value, location, minimum=None):
+    if type(value) is not int or (minimum is not None and value < minimum):
+        _int_fault(value, location, minimum)
     return value
 
 
@@ -101,6 +128,10 @@ def _expect_keys(obj, required, location):
     for key in obj:
         if key not in required:
             _fail(location, f"unknown key '{key}'")
+
+
+def _too_long(location):
+    _fail(location, f"integer of more than {sys.get_int_max_str_digits()} digits")
 
 
 def _parse_monoid(obj):
@@ -117,28 +148,49 @@ def _parse_monoid(obj):
     return FREE if family == "free" else ADDITIVE
 
 
-def _parse_label(raw, monoid, location):
-    family = monoid.family
-    if family == "free":
-        if not isinstance(raw, list):
-            _fail(location, "free label must be a list of generator ids")
-        letters = tuple(_expect_int(x, location, minimum=0) for x in raw)
-        return FreeWord(letters)
-    if family == "additive":
-        if isinstance(raw, int) and not isinstance(raw, bool):
-            return AdditiveNumber(raw)
-        if isinstance(raw, str) and _RATIONAL_RE.fullmatch(raw):
-            return AdditiveNumber(Fraction(raw))
-        _fail(location, "additive label must be an integer or a 'p/q' string")
+def _free_label(raw, i):
+    if type(raw) is not list:
+        _fail(f"edges[{i}].label", "free label must be a list of generator ids")
+    for x in raw:
+        if type(x) is not int or x < 0:
+            _int_fault(x, f"edges[{i}].label", 0)
+    return _free_word(tuple(raw))
+
+
+def _additive_label(raw, i):
+    if type(raw) is int:
+        return _additive(raw, 1)
+    match = _RATIONAL_RE.fullmatch(raw) if type(raw) is str else None
+    if match is None:
+        _fail(f"edges[{i}].label", "additive label must be an integer or a 'p/q' string")
+    try:
+        num, den = int(match[1]), int(match[2])
+    except ValueError:  # past the interpreter's int-string limit
+        _too_long(f"edges[{i}].label")
+    g = gcd(num, den)
+    return _additive(num // g, den // g)
+
+
+def _label_parser(monoid):
+    """The label parser for ``monoid``: ``(raw, edge index) -> value``."""
+    if monoid.family == "free":
+        return _free_label
+    if monoid.family == "additive":
+        return _additive_label
     k = monoid.k
-    if not isinstance(raw, list) or len(raw) != k:
-        _fail(location, f"matrix label must be a {k}x{k} row-major grid")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != k:
-            _fail(location, f"matrix label must be a {k}x{k} row-major grid")
-        rows.append(tuple(_expect_int(x, f"{location}[{i}]") for x in row))
-    return IntMatrix(tuple(rows))
+
+    def matrix_label(raw, i):
+        if type(raw) is not list or len(raw) != k:
+            _fail(f"edges[{i}].label", f"matrix label must be a {k}x{k} row-major grid")
+        for r, row in enumerate(raw):
+            if type(row) is not list or len(row) != k:
+                _fail(f"edges[{i}].label", f"matrix label must be a {k}x{k} row-major grid")
+            for x in row:
+                if type(x) is not int:
+                    _int_fault(x, f"edges[{i}].label[{r}]")
+        return _int_matrix(tuple(map(tuple, raw)))
+
+    return matrix_label
 
 
 def _load_json(text, what):
@@ -146,28 +198,40 @@ def _load_json(text, what):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramFormatError(f"{what}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError:  # ``bytes`` that are not UTF-8: no integer fault
+        raise
+    except ValueError:  # an integer literal past the interpreter's int-string limit
+        _too_long(what)
 
 
 def _parse_edges(doc, vertices, monoid=None):
     """The edge list as (pairs, labels), validated entry by entry in file
     order: keys, origin, tail, both ranges, then the label when a monoid is
     given (a bare graph has no labels)."""
-    keys = ("origin", "tail") if monoid is None else ("origin", "tail", "label")
-    if not isinstance(doc["edges"], list):
+    keys = _GRAPH_KEYS if monoid is None else _DIAGRAM_KEYS
+    key_set = set(keys)
+    parse_label = None if monoid is None else _label_parser(monoid)
+    edges = doc["edges"]
+    if type(edges) is not list:
         _fail("edges", "expected a list")
     pairs = []
     labels = []
-    for i, entry in enumerate(doc["edges"]):
-        _expect_keys(entry, keys, f"edges[{i}]")
-        origin = _expect_int(entry["origin"], f"edges[{i}].origin", minimum=0)
-        tail = _expect_int(entry["tail"], f"edges[{i}].tail", minimum=0)
+    for i, entry in enumerate(edges):
+        if type(entry) is not dict or entry.keys() != key_set:
+            _expect_keys(entry, keys, f"edges[{i}]")
+        origin = entry["origin"]
+        tail = entry["tail"]
+        if type(origin) is not int or origin < 0:
+            _int_fault(origin, f"edges[{i}].origin", 0)
+        if type(tail) is not int or tail < 0:
+            _int_fault(tail, f"edges[{i}].tail", 0)
         if origin >= vertices:
             _fail(f"edges[{i}].origin", f"endpoint {origin} out of range for {vertices} vertices")
         if tail >= vertices:
             _fail(f"edges[{i}].tail", f"endpoint {tail} out of range for {vertices} vertices")
         pairs.append((origin, tail))
-        if monoid is not None:
-            labels.append(_parse_label(entry["label"], monoid, f"edges[{i}].label"))
+        if parse_label is not None:
+            labels.append(parse_label(entry["label"], i))
     return pairs, labels
 
 
@@ -192,6 +256,12 @@ def parse_graph(text: str) -> OrientedGraph:
 
 # ---------------------------------------------------------------------------
 # Serialization
+#
+# The canonical document is ``json.dumps(diagram_to_dict(d), indent=2)``.
+# With an indent that call runs the pure-Python encoder, so the writers below
+# lay out the same bytes directly: each edge entry and each label is one
+# formatted string.  Integers are written as the encoder writes them, by
+# ``int.__repr__`` or by ``%d``, which gives the same digits for every ``int``.
 
 
 def _encode_label(label):
@@ -215,9 +285,59 @@ def diagram_to_dict(diagram: Diagram) -> dict:
     }
 
 
+# ``_NEWLINE[level]`` starts a line at indent ``level``; ``_SEPARATOR[level]``
+# ends a list item and starts the next at that level.
+_NEWLINE = tuple("\n" + "  " * level for level in range(8))
+_SEPARATOR = tuple("," + newline for newline in _NEWLINE)
+
+_DIAGRAM_EDGE = '{\n      "origin": %s,\n      "tail": %s,\n      "label": %s\n    }'
+_GRAPH_EDGE = '{\n      "origin": %s,\n      "tail": %s\n    }'
+
+
+def _json_list(items, level: int) -> str:
+    """``items``, already formatted, as the indented JSON list whose opening
+    bracket sits at indent ``level``."""
+    if not items:
+        return "[]"
+    return f"[{_NEWLINE[level + 1]}{_SEPARATOR[level + 1].join(items)}{_NEWLINE[level]}]"
+
+
+def _int_list(values, level: int) -> str:
+    """A sequence of integers as ``_json_list`` lays it out."""
+    return _json_list(list(map(int.__repr__, values)), level)
+
+
+@lru_cache(maxsize=16)
+def _matrix_template(k: int) -> str:
+    """A k x k matrix label's layout, one ``%d`` per entry in row-major order.
+    ``%d`` writes any ``int``, subclasses included, as ``int.__repr__`` does."""
+    return _json_list([_json_list(["%d"] * k, 4)] * k, 3)
+
+
+def _format_label(label) -> str:
+    """``_encode_label(label)`` as it appears in a canonical diagram document."""
+    if isinstance(label, FreeWord):
+        return _int_list(label.letters, 3)
+    if isinstance(label, AdditiveNumber):
+        return "%d" % label.num if label.den == 1 else '"%d/%d"' % (label.num, label.den)
+    if isinstance(label, IntMatrix):
+        entries = label.entries
+        return _matrix_template(len(entries)) % tuple(chain.from_iterable(entries))
+    raise TypeError(f"cannot serialize label of type {type(label).__name__}")
+
+
 def serialize_diagram(diagram: Diagram) -> str:
     """Canonical document; parse(serialize(d)) is structurally equal to d."""
-    return json.dumps(diagram_to_dict(diagram), indent=2)
+    graph = diagram.graph
+    monoid = json.dumps(diagram.monoid.descriptor(), indent=2).replace("\n", _NEWLINE[1])
+    edges = [
+        _DIAGRAM_EDGE % (int.__repr__(origin), int.__repr__(tail), _format_label(label))
+        for (origin, tail), label in zip(graph.edges, diagram.labels)
+    ]
+    return (
+        f'{{\n  "vertices": {int.__repr__(graph.vertex_count)},\n  "monoid": {monoid},\n'
+        f'  "edges": {_json_list(edges, 1)}\n}}'
+    )
 
 
 def graph_to_dict(graph: OrientedGraph) -> dict:
@@ -228,4 +348,6 @@ def graph_to_dict(graph: OrientedGraph) -> dict:
 
 
 def serialize_graph(graph: OrientedGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2)
+    """Canonical document: ``json.dumps(graph_to_dict(graph), indent=2)``."""
+    edges = [_GRAPH_EDGE % (int.__repr__(origin), int.__repr__(tail)) for origin, tail in graph.edges]
+    return f'{{\n  "vertices": {int.__repr__(graph.vertex_count)},\n  "edges": {_json_list(edges, 1)}\n}}'

@@ -114,7 +114,9 @@ class IntMatrix:
 # Trusted builders: a value holding an already-valid payload, set through the
 # slot descriptors without re-validation.  Only for payloads valid by
 # construction: products of valid values (each family is closed under its
-# operation) and the negation of a normalized pair.
+# operation), the negation of a normalized pair, and the payloads
+# ``diagram``'s parser has checked entry by entry (exact-``int`` tuples and
+# normalized pairs).
 
 _new = object.__new__
 _set_letters = FreeWord.letters.__set__

@@ -12,14 +12,17 @@ The pass runs three phases on a private working copy of the diagram:
 Labels are touched only through the monoid's ``identity``/``op``/``eq``; every
 ``op`` and ``eq`` call is counted, and the counters are the report.  The pass
 stops at the first violation and returns a witness for it.
+
+``VerificationReport.to_json`` writes the bytes of
+``json.dumps(report.to_dict(), indent=2)`` directly, one template per fixed
+shape, so a report and its trace cost one string format per entry.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from .diagram import Diagram
+from .diagram import Diagram, _int_list, _json_list
 from .graph import Path
 
 
@@ -96,6 +99,48 @@ def trace_to_dict(trace: RelationTrace) -> dict:
     }
 
 
+# Layouts of the report document's fixed shapes.  Every ``%d`` value is an
+# ``int`` the verifier counted or chose, which ``%d`` writes as the encoder does.
+
+_REPORT = """{
+  "commutative": %s,
+  "counters": {
+    "eq_loops": %d,
+    "eq_multi": %d,
+    "eq_dfs": %d,
+    "mult_dfs": %d,
+    "reduced_edges": %d
+  },
+  "witness": %s,
+  "trace": %s
+}"""
+_LOOP_WITNESS = '{\n    "kind": "non_identity_loop",\n    "edge": %d\n  }'
+_MULTI_WITNESS = '{\n    "kind": "multi_edge_mismatch",\n    "edge": %d,\n    "kept": %d\n  }'
+_PATH_WITNESS = '{\n    "kind": "path_mismatch",\n    "path1": %s,\n    "path2": %s\n  }'
+_PATH = '{\n      "edges": %s,\n      "origin": %d,\n      "tail": %d\n    }'
+_TRACE = '{\n    "relations": %s,\n    "products": %s\n  }'
+_TRACE_PAIR = "[\n        %s,\n        %s\n      ]"
+
+
+def _format_witness(witness) -> str:
+    """``witness_to_dict(witness)`` as it appears in the report document."""
+    if isinstance(witness, NonIdentityLoop):
+        return _LOOP_WITNESS % witness.edge
+    if isinstance(witness, MultiEdgeMismatch):
+        return _MULTI_WITNESS % (witness.edge, witness.kept)
+    if isinstance(witness, PathMismatch):
+        return _PATH_WITNESS % (_format_path(witness.path1), _format_path(witness.path2))
+    raise TypeError(f"not a witness: {type(witness).__name__}")
+
+
+def _format_path(path: Path) -> str:
+    return _PATH % (_int_list(path.edges, 3), path.origin, path.tail)
+
+
+def _format_pairs(pairs) -> str:
+    return _json_list([_TRACE_PAIR % (_int_list(lhs, 4), _int_list(rhs, 4)) for lhs, rhs in pairs], 2)
+
+
 @dataclass
 class VerificationReport:
     commutative: bool
@@ -113,15 +158,34 @@ class VerificationReport:
         return self.counters.mult_total
 
     def to_dict(self) -> dict:
+        c = self.counters
         return {
             "commutative": self.commutative,
-            "counters": {**asdict(self.counters), "reduced_edges": self.reduced_edges},
+            "counters": {
+                "eq_loops": c.eq_loops,
+                "eq_multi": c.eq_multi,
+                "eq_dfs": c.eq_dfs,
+                "mult_dfs": c.mult_dfs,
+                "reduced_edges": self.reduced_edges,
+            },
             "witness": witness_to_dict(self.witness) if self.witness is not None else None,
             "trace": trace_to_dict(self.trace) if self.trace is not None else None,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, written directly."""
+        c = self.counters
+        trace = self.trace
+        return _REPORT % (
+            "true" if self.commutative else "false",
+            c.eq_loops,
+            c.eq_multi,
+            c.eq_dfs,
+            c.mult_dfs,
+            self.reduced_edges,
+            "null" if self.witness is None else _format_witness(self.witness),
+            "null" if trace is None else _TRACE % (_format_pairs(trace.relations), _format_pairs(trace.products)),
+        )
 
 
 class WorkingDiagram:

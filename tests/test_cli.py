@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -57,6 +58,24 @@ def test_verify_malformed_input_exit_two(tmp_path, capsys):
     assert main(["verify", path]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
+
+
+_TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize(
+    "label, location",
+    [(_TOO_LONG, "diagram:"), (f'"{_TOO_LONG}/3"', "edges[0].label:")],
+    ids=["json-number", "p/q-numerator"],
+)
+def test_over_long_integer_exit_two(tmp_path, capsys, command, label, location):
+    text = '{"vertices": 1, "monoid": {"family": "additive"}, "edges": [{"origin": 0, "tail": 0, "label": %s}]}'
+    path = _write(tmp_path, "long.json", text % label)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {location} integer of more than")
 
 
 def test_verify_trace_and_report_file(tmp_path, capsys):
