@@ -227,27 +227,6 @@ def _cmd_bounds(args) -> int:
 # Bench
 
 
-BENCH_FIELDS = [
-    "n",
-    "m",
-    "kind",
-    "instance",
-    "edges",
-    "reduced_edges",
-    "eq_total",
-    "mult_total",
-    "bound_eq",
-    "bound_mult",
-    "refined_bound_eq",
-    "refined_bound_mult",
-    "within_bounds",
-    "rh_family_size",
-    "loops",
-    "nu_ge_eq_ok",
-    "nu_ge_mult_ok",
-]
-
-
 def _identity_labeled(graph: OrientedGraph) -> Diagram:
     # Identity labels keep every check true, so the run never exits early and
     # the counters are the maximum the graph can produce.
@@ -327,7 +306,9 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=BENCH_FIELDS, lineterminator="\n")
+    # ``bench_rows`` yields a row for every grid point, and the grids are not
+    # empty, so the first row's keys are the header.
+    writer = csv.DictWriter(buffer, fieldnames=rows[0].keys(), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     text = buffer.getvalue()

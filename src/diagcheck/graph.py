@@ -28,6 +28,12 @@ class OrientedGraph:
         edges = []
         adjacency = [[] for _ in range(vertex_count)]
         for idx, (origin, tail) in enumerate(edge_list):
+            # ``require_edge``'s rule (no booleans, no non-integers), behind the
+            # exact-type test that nearly every endpoint passes.
+            if not (type(origin) is int and type(tail) is int) and not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in (origin, tail)
+            ):
+                raise ValueError(f"edge {idx}: endpoints must be integer vertex ids, got ({origin!r}, {tail!r})")
             if not 0 <= origin < vertex_count or not 0 <= tail < vertex_count:
                 raise ValueError(f"edge {idx}: endpoint out of range for {vertex_count} vertices")
             edges.append((origin, tail))

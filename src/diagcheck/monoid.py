@@ -203,15 +203,33 @@ _MUL_KERNELS = {2: _mul_2, 3: _mul_3}
 # may share it, and a product may be one of its operands.
 
 
+class _Monoid:
+    """The descriptor surface every family shares.  A subclass sets
+    ``family``, its identity ``_one``, its ``_value_class`` and the ``_noun``
+    that mismatch errors name."""
+
+    def identity(self):
+        return self._one
+
+    def owns(self, value) -> bool:
+        return isinstance(value, self._value_class)
+
+    def descriptor(self) -> dict:
+        return {"family": self.family}
+
+    def _check(self, value):
+        if not self.owns(value):
+            raise MonoidMismatchError(f"expected {self._noun}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
-class FreeMonoid:
+class FreeMonoid(_Monoid):
     """Free words under concatenation; the identity is the empty word."""
 
     family = "free"
     _one = FreeWord(())
-
-    def identity(self) -> FreeWord:
-        return self._one
+    _value_class = FreeWord
+    _noun = "a free word"
 
     def op(self, a: FreeWord, b: FreeWord) -> FreeWord:
         if not (type(a) is FreeWord and type(b) is FreeWord):
@@ -233,26 +251,15 @@ class FreeMonoid:
             self._check(b)
         return a.letters == b.letters
 
-    def owns(self, value) -> bool:
-        return isinstance(value, FreeWord)
-
-    def descriptor(self) -> dict:
-        return {"family": "free"}
-
-    def _check(self, value):
-        if not self.owns(value):
-            raise MonoidMismatchError(f"expected a free word, got {type(value).__name__}")
-
 
 @dataclass(frozen=True)
-class AdditiveMonoid:
+class AdditiveMonoid(_Monoid):
     """Exact rationals under addition; the identity is 0."""
 
     family = "additive"
     _one = AdditiveNumber(0)
-
-    def identity(self) -> AdditiveNumber:
-        return self._one
+    _value_class = AdditiveNumber
+    _noun = "an additive number"
 
     def op(self, a: AdditiveNumber, b: AdditiveNumber) -> AdditiveNumber:
         if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
@@ -278,19 +285,9 @@ class AdditiveMonoid:
             self._check(b)
         return a.num == b.num and a.den == b.den
 
-    def owns(self, value) -> bool:
-        return isinstance(value, AdditiveNumber)
-
-    def descriptor(self) -> dict:
-        return {"family": "additive"}
-
-    def _check(self, value):
-        if not self.owns(value):
-            raise MonoidMismatchError(f"expected an additive number, got {type(value).__name__}")
-
 
 @dataclass(frozen=True)
-class MatrixMonoid:
+class MatrixMonoid(_Monoid):
     """k x k integer matrices under multiplication; the identity matrix is 1."""
 
     k: int
@@ -300,9 +297,6 @@ class MatrixMonoid:
         k = self.k
         object.__setattr__(self, "_one", IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k))))
         object.__setattr__(self, "_mul", _MUL_KERNELS.get(k, _mul_rows))
-
-    def identity(self) -> IntMatrix:
-        return self._one
 
     def op(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
         k = self.k

@@ -13,6 +13,10 @@ Labels are touched only through the monoid's ``identity``/``op``/``eq``; every
 ``op`` and ``eq`` call is counted, and the counters are the report.  The pass
 stops at the first violation and returns a witness for it.
 
+A relation trace is the same run over M x the free monoid on edge ids: edge
+e is labeled (label, (e,)), and ``_TracedMonoid`` records the edge-id words of
+the operands of every ``op`` and ``eq``, so the phases carry no trace code.
+
 ``VerificationReport.to_json`` writes the bytes of
 ``json.dumps(report.to_dict(), indent=2)`` directly, one template per fixed
 shape, so a report and its trace cost one string format per entry.
@@ -35,18 +39,10 @@ class Counters:
     eq_dfs: int = 0
     mult_dfs: int = 0
 
-    @property
-    def eq_total(self) -> int:
-        return self.eq_loops + self.eq_multi + self.eq_dfs
-
-    @property
-    def mult_total(self) -> int:
-        return self.mult_dfs
-
 
 @dataclass
 class RelationTrace:
-    """Every equality check and concatenation performed, as edge-sequence pairs.
+    """Every equality check and concatenation performed, as pairs of edge-id words.
 
     Each relation mirrors the operands of one ``eq`` call; each product mirrors
     one ``op`` call.  Together they form a relation system whose verification
@@ -151,11 +147,12 @@ class VerificationReport:
 
     @property
     def eq_total(self) -> int:
-        return self.counters.eq_total
+        c = self.counters
+        return c.eq_loops + c.eq_multi + c.eq_dfs
 
     @property
     def mult_total(self) -> int:
-        return self.counters.mult_total
+        return self.counters.mult_dfs
 
     def to_dict(self) -> dict:
         c = self.counters
@@ -169,7 +166,7 @@ class VerificationReport:
                 "reduced_edges": self.reduced_edges,
             },
             "witness": witness_to_dict(self.witness) if self.witness is not None else None,
-            "trace": trace_to_dict(self.trace) if self.trace is not None else None,
+            "trace": None if self.trace is None else trace_to_dict(self.trace),
         }
 
     def to_json(self) -> str:
@@ -190,10 +187,13 @@ class VerificationReport:
 
 class WorkingDiagram:
     """Mutable adjacency copy the reduction phases edit; the source diagram
-    and its graph are never touched."""
+    and its graph are never touched.  The phases take labels and monoid from
+    here, which ``verify`` swaps for their traced pairs."""
 
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
+        self.labels = diagram.labels
+        self.monoid = diagram.monoid
         self.adjacency = [list(out) for out in diagram.graph.adjacency]
         self.tails = [t for _, t in diagram.graph.edges]
 
@@ -201,22 +201,39 @@ class WorkingDiagram:
         return sum(len(out) for out in self.adjacency)
 
 
-def remove_loops(working: WorkingDiagram, counters: Counters, trace: RelationTrace | None = None):
+class _TracedMonoid:
+    """M x the free monoid on edge ids.  A value is a ``(label, edges)`` pair,
+    and every ``op``/``eq`` records its two edge-id words in the trace before
+    it acts on the labels, so the trace lists the run's operations in order."""
+
+    def __init__(self, inner, trace: RelationTrace):
+        self.inner = inner
+        self.trace = trace
+
+    def identity(self):
+        return (self.inner.identity(), ())
+
+    def op(self, a, b):
+        self.trace.products.append((a[1], b[1]))
+        return (self.inner.op(a[0], b[0]), a[1] + b[1])
+
+    def eq(self, a, b) -> bool:
+        self.trace.relations.append((a[1], b[1]))
+        return self.inner.eq(a[0], b[0])
+
+
+def remove_loops(working: WorkingDiagram, counters: Counters):
     """Check every loop against the identity and drop it; first failure wins."""
-    diagram = working.diagram
-    labels = diagram.labels
-    mon = diagram.monoid
-    eq = mon.eq
+    labels = working.labels
+    eq = working.monoid.eq
     tails = working.tails
-    one = mon.identity()
-    for v in range(diagram.graph.vertex_count):
+    one = working.monoid.identity()
+    for v in range(working.diagram.graph.vertex_count):
         out = working.adjacency[v]
         kept = []
         for pos, e in enumerate(out):
             if tails[e] == v:
                 counters.eq_loops += 1
-                if trace is not None:
-                    trace.relations.append(((e,), ()))
                 if not eq(labels[e], one):
                     working.adjacency[v] = kept + out[pos:]
                     return NonIdentityLoop(e)
@@ -226,19 +243,17 @@ def remove_loops(working: WorkingDiagram, counters: Counters, trace: RelationTra
     return None
 
 
-def remove_multiple_edges(working: WorkingDiagram, counters: Counters, trace: RelationTrace | None = None):
+def remove_multiple_edges(working: WorkingDiagram, counters: Counters):
     """Keep the first edge per (origin, tail), check and drop the rest.
 
     One timestamped scratch table is reused across origins, so the whole
     phase is linear in vertices plus edges.  Assumes loops are already gone.
     """
-    diagram = working.diagram
-    labels = diagram.labels
-    eq = diagram.monoid.eq
+    labels = working.labels
+    eq = working.monoid.eq
     tails = working.tails
-    n = diagram.graph.vertex_count
+    n = working.diagram.graph.vertex_count
     stamp = [-1] * n
-    kept_label = [None] * n
     kept_edge = [0] * n
     for v in range(n):
         out = working.adjacency[v]
@@ -247,14 +262,11 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters, trace: Re
             u = tails[e]
             if stamp[u] != v:
                 stamp[u] = v
-                kept_label[u] = labels[e]
                 kept_edge[u] = e
                 kept.append(e)
             else:
                 counters.eq_multi += 1
-                if trace is not None:
-                    trace.relations.append(((e,), (kept_edge[u],)))
-                if not eq(labels[e], kept_label[u]):
+                if not eq(labels[e], labels[kept_edge[u]]):
                     working.adjacency[v] = kept + out[pos:]
                     return MultiEdgeMismatch(e, kept_edge[u])
         working.adjacency[v] = kept
@@ -271,22 +283,21 @@ def _tree_path(graph, parent_edge, root: int, vertex: int) -> tuple[int, ...]:
     return tuple(backwards)
 
 
-def _dfs_all_roots(working: WorkingDiagram, counters: Counters, trace: RelationTrace | None):
+def _dfs_all_roots(working: WorkingDiagram, counters: Counters):
     """Label-checked DFS from every root in ascending order on the reduced
     adjacency.  One set of arrays serves every root: a vertex counts as
     visited only if its stamp is the current root, so resets are free."""
-    diagram = working.diagram
-    labels = diagram.labels
-    mon = diagram.monoid
+    graph = working.diagram.graph
+    labels = working.labels
+    mon = working.monoid
     op = mon.op
     eq = mon.eq
     adjacency = working.adjacency
     tails = working.tails
-    n = diagram.graph.vertex_count
+    n = graph.vertex_count
     visited = [-1] * n
     m_value = [None] * n
     parent_edge = [-1] * n
-    sequence = [None] * n if trace is not None else None
     # Each frame holds its vertex and the iterator over its remaining out-edges;
     # the counts live in locals and reach ``counters`` on every exit.
     mults = eqs = 0
@@ -294,8 +305,6 @@ def _dfs_all_roots(working: WorkingDiagram, counters: Counters, trace: RelationT
         for root in range(n):
             visited[root] = root
             m_value[root] = mon.identity()
-            if sequence is not None:
-                sequence[root] = ()
             stack = [(root, iter(adjacency[root]))]
             while stack:
                 v, out = stack[-1]
@@ -304,22 +313,16 @@ def _dfs_all_roots(working: WorkingDiagram, counters: Counters, trace: RelationT
                     u = tails[e]
                     mults += 1
                     product = op(value, labels[e])
-                    if trace is not None:
-                        trace.products.append((sequence[v], (e,)))
                     if visited[u] != root:
                         visited[u] = root
                         m_value[u] = product
                         parent_edge[u] = e
-                        if sequence is not None:
-                            sequence[u] = sequence[v] + (e,)
                         stack.append((u, iter(adjacency[u])))
                         break
                     eqs += 1
-                    if trace is not None:
-                        trace.relations.append((sequence[u], sequence[v] + (e,)))
                     if not eq(m_value[u], product):
-                        stored = _tree_path(diagram.graph, parent_edge, root, u)
-                        derived = _tree_path(diagram.graph, parent_edge, root, v) + (e,)
+                        stored = _tree_path(graph, parent_edge, root, u)
+                        derived = _tree_path(graph, parent_edge, root, v) + (e,)
                         return PathMismatch(Path(stored, root, u), Path(derived, root, u))
                 else:
                     stack.pop()
@@ -345,11 +348,14 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
     relation_trace = RelationTrace() if trace else None
     counters = Counters()
     working = WorkingDiagram(diagram)
-    witness = remove_loops(working, counters, relation_trace)
+    if trace:
+        working.monoid = _TracedMonoid(diagram.monoid, relation_trace)
+        working.labels = [(label, (e,)) for e, label in enumerate(diagram.labels)]
+    witness = remove_loops(working, counters)
     if witness is None:
-        witness = remove_multiple_edges(working, counters, relation_trace)
+        witness = remove_multiple_edges(working, counters)
     if witness is None:
-        witness = _dfs_all_roots(working, counters, relation_trace)
+        witness = _dfs_all_roots(working, counters)
     return VerificationReport(
         commutative=witness is None,
         counters=counters,

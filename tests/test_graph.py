@@ -45,10 +45,10 @@ def test_build_single_edge_and_loop():
 
 
 def test_build_rejects_out_of_range_endpoints():
-    with pytest.raises(ValueError):
-        build(2, [(0, 2)])
-    with pytest.raises(ValueError):
-        build(2, [(-1, 0)])
+    # Booleans and floats are not vertex ids, even where they equal one.
+    for edge in [(0, 2), (-1, 0), (True, 0), (0, 1.0), (0.0, 1)]:
+        with pytest.raises(ValueError, match="edge 0"):
+            build(2, [edge])
 
 
 def test_fig4_triploid_shape():

@@ -40,6 +40,7 @@ from diagcheck.verifier import (
     reduced_edge_count,
     remove_loops,
     remove_multiple_edges,
+    trace_to_dict,
 )
 
 from .conftest import boxed_diagram, kirchhoff_square, random_diagram, triangle_graph
@@ -50,7 +51,7 @@ def test_remove_loops_drops_identity_loops():
     d = Diagram(graph, matrix_monoid(2), [identity_matrix(2), zero_matrix(2)])
     working = WorkingDiagram(d)
     counters = Counters()
-    assert remove_loops(working, counters, None) is None
+    assert remove_loops(working, counters) is None
     assert counters.eq_loops == 1
     assert working.adjacency[0] == [1]
 
@@ -59,14 +60,14 @@ def test_remove_loops_catches_nonidentity_loop():
     graph = build(1, [(0, 0)])
     d = Diagram(graph, matrix_monoid(2), [matrix(((1, 1), (0, 1)))])
     counters = Counters()
-    witness = remove_loops(WorkingDiagram(d), counters, None)
+    witness = remove_loops(WorkingDiagram(d), counters)
     assert witness == NonIdentityLoop(0)
     assert counters.eq_loops == 1
 
 
 def test_remove_loops_no_loops_no_checks():
     counters = Counters()
-    assert remove_loops(WorkingDiagram(kirchhoff_square()), counters, None) is None
+    assert remove_loops(WorkingDiagram(kirchhoff_square()), counters) is None
     assert counters.eq_loops == 0
 
 
@@ -75,7 +76,7 @@ def test_remove_multiple_edges_merges_equal_labels():
     d = Diagram(graph, FREE, [word(5), word(5)])
     working = WorkingDiagram(d)
     counters = Counters()
-    assert remove_multiple_edges(working, counters, None) is None
+    assert remove_multiple_edges(working, counters) is None
     assert counters.eq_multi == 1
     assert working.adjacency[0] == [0]
 
@@ -84,13 +85,13 @@ def test_remove_multiple_edges_catches_mismatch():
     graph = build(2, [(0, 1), (0, 1)])
     d = Diagram(graph, FREE, [word(0), word(1)])
     counters = Counters()
-    witness = remove_multiple_edges(WorkingDiagram(d), counters, None)
+    witness = remove_multiple_edges(WorkingDiagram(d), counters)
     assert witness == MultiEdgeMismatch(edge=1, kept=0)
 
 
 def test_remove_multiple_edges_simple_graph_zero_checks():
     counters = Counters()
-    assert remove_multiple_edges(WorkingDiagram(kirchhoff_square()), counters, None) is None
+    assert remove_multiple_edges(WorkingDiagram(kirchhoff_square()), counters) is None
     assert counters.eq_multi == 0
 
 
@@ -276,8 +277,8 @@ def test_completed_reduction_matches_structural_count():
         d = random_diagram(rng)
         working = WorkingDiagram(d)
         counters = Counters()
-        if remove_loops(working, counters, None) is None:
-            if remove_multiple_edges(working, counters, None) is None:
+        if remove_loops(working, counters) is None:
+            if remove_multiple_edges(working, counters) is None:
                 assert working.remaining_edge_count() == reduced_edge_count(d)
                 completed += 1
     assert completed > 50
@@ -291,6 +292,21 @@ def test_trace_on_rhomboid_gap_records_single_violation():
     assert not report.commutative
     lhs, rhs = report.trace.relations[-1]
     assert {tuple(lhs), tuple(rhs)} == {(square.a, square.b), (square.c, square.d)}
+
+
+def test_trace_contents_and_order_are_pinned():
+    # One loop, one parallel pair and one square: every relation kind in
+    # call order, each pair being the operands of one eq or op call.
+    graph = build(3, [(0, 0), (0, 1), (0, 1), (1, 2), (0, 2)])
+    relations = [[[0], []], [[2], [1]], [[1, 3], [4]]]
+    products = [[[], [1]], [[1], [3]], [[], [4]], [[], [3]]]
+    report = verify(Diagram(graph, ADDITIVE, [number(x) for x in (0, 1, 1, 2, 3)]), trace=True)
+    assert report.commutative
+    assert trace_to_dict(report.trace) == {"relations": relations, "products": products}
+    # With label 4 on edge 4 the square's relation fails and the run stops there.
+    report = verify(Diagram(graph, ADDITIVE, [number(x) for x in (0, 1, 1, 2, 4)]), trace=True)
+    assert not report.commutative
+    assert trace_to_dict(report.trace) == {"relations": relations, "products": products[:3]}
 
 
 def test_unrefined_bounds_are_refined_bounds_at_the_capped_edge_count():
