@@ -50,12 +50,22 @@ def nz_edge_labeling(graph: OrientedGraph, edge: int) -> Diagram:
     return Diagram(graph, matrix_monoid(2), labels)
 
 
+def _unit_pair_labeling(graph: OrientedGraph, low, high) -> Diagram:
+    """3x3 diagram labeling each edge in ``low`` with the unit E01, each other
+    edge in ``high`` with E12, and every remaining edge with zero."""
+    e01 = matrix_unit(3, 0, 1)
+    e12 = matrix_unit(3, 1, 2)
+    zero = zero_matrix(3)
+    labels = [e01 if e in low else e12 if e in high else zero for e in range(graph.edge_count)]
+    return Diagram(graph, matrix_monoid(3), labels)
+
+
 def nz_pair_labeling(graph: OrientedGraph, first: int, second: int) -> Diagram:
     """Commutative 3x3 diagram where the two chosen labels multiply to a
     nonzero matrix.
 
     Consecutive pair (t(first) = o(second)): every edge leaving o(first) gets
-    the low unit, every edge entering t(second) gets the high unit; triangle
+    the unit E01, every edge entering t(second) gets E12; triangle
     freedom keeps the two cases from colliding.  Otherwise only the two
     chosen edges are nonzero.
     """
@@ -64,26 +74,11 @@ def nz_pair_labeling(graph: OrientedGraph, first: int, second: int) -> Diagram:
     require_edge(graph, second)
     if first == second:
         raise ValueError("the two edges must be distinct")
-    low = matrix_unit(3, 0, 1)
-    high = matrix_unit(3, 1, 2)
-    zero = zero_matrix(3)
     if graph.tail(first) == graph.origin(second):
-        start = graph.origin(first)
         end = graph.tail(second)
-        labels = []
-        for e in range(graph.edge_count):
-            if graph.origin(e) == start:
-                labels.append(low)
-            elif graph.tail(e) == end:
-                labels.append(high)
-            else:
-                labels.append(zero)
-    else:
-        labels = [
-            low if e == first else high if e == second else zero
-            for e in range(graph.edge_count)
-        ]
-    return Diagram(graph, matrix_monoid(3), labels)
+        entering = {e for e, (_, tail) in enumerate(graph.edges) if tail == end}
+        return _unit_pair_labeling(graph, set(graph.adjacency[graph.origin(first)]), entering)
+    return _unit_pair_labeling(graph, (first,), (second,))
 
 
 def rhomboid_gap_labeling(graph: OrientedGraph, rhomboid: Rhomboid) -> Diagram:
@@ -91,14 +86,7 @@ def rhomboid_gap_labeling(graph: OrientedGraph, rhomboid: Rhomboid) -> Diagram:
     sides of the given rhomboid."""
     if not is_rhomboid(graph, *rhomboid):
         raise ValueError("edges do not form a rhomboid")
-    low = matrix_unit(3, 0, 1)
-    high = matrix_unit(3, 1, 2)
-    zero = zero_matrix(3)
-    labels = [
-        low if e == rhomboid.a else high if e == rhomboid.b else zero
-        for e in range(graph.edge_count)
-    ]
-    return Diagram(graph, matrix_monoid(3), labels)
+    return _unit_pair_labeling(graph, (rhomboid.a,), (rhomboid.b,))
 
 
 def loop_indicator_labeling(graph: OrientedGraph) -> Diagram:

@@ -3,8 +3,10 @@
 Subcommands: verify, gen, fixtures, rhomboids, bounds, oracle, bench.
 Exit codes: 0 on success (for verify/oracle: the diagram commutes), 1 when a
 diagram is verified non-commutative (the report is still emitted), 2 on
-usage, parse, or budget errors.  Identical inputs and seeds produce
-byte-identical output.
+usage, parse, or budget errors, an unreadable input file, or an output file
+that cannot be written.  Identical inputs and seeds produce byte-identical
+output.  Still open: verify/oracle on a non-UTF-8 or deeply nested document
+exit 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import random
 import sys
 
 from .adversarial import (
-    LabelingPreconditionError,
     loop_indicator_labeling,
     loop_kernel_labeling,
     nz_edge_labeling,
@@ -45,7 +46,7 @@ from .diagram import (
 )
 from .errors import BudgetExceededError
 from .graph import OrientedGraph, strip_loops
-from .monoid import FREE, MonoidMismatchError
+from .monoid import FREE
 from .oracle import DEFAULT_WALK_BUDGET, oracle_verify
 from .verifier import bound_eq_checks, bound_mults, verify
 
@@ -116,24 +117,18 @@ def _resolve_graph(args) -> tuple[OrientedGraph, TriploidParams | None]:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        diagram = parse_diagram(_read(args.diagram))
-    except (OSError, DiagramFormatError) as exc:
-        return _fail(str(exc))
+    diagram = parse_diagram(_read(args.diagram))
     report = verify(diagram, trace=args.trace)
     _emit(report.to_json(), args.report)
     return 0 if report.commutative else 1
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        diagram = parse_diagram(_read(args.diagram))
-    except (OSError, DiagramFormatError) as exc:
-        return _fail(str(exc))
+    diagram = parse_diagram(_read(args.diagram))
     bound = args.length if args.length is not None else diagram.graph.vertex_count
     try:
         commutative = oracle_verify(diagram, bound, budget=args.budget)
-    except (BudgetExceededError, ValueError) as exc:
+    except ValueError as exc:  # a negative --length
         return _fail(str(exc))
     payload = {"commutative": commutative, "counters": None, "witness": None, "trace": None}
     _emit(json.dumps(payload, indent=2), args.report)
@@ -143,7 +138,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         graph, _ = _resolve_graph(args)
-    except (OSError, DiagramFormatError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     _emit(serialize_graph(graph), args.out)
     return 0
@@ -186,7 +181,7 @@ def _cmd_fixtures(args) -> int:
     try:
         graph, params = _resolve_graph(args)
         diagram = _fixture_diagram(args, graph, params)
-    except (OSError, DiagramFormatError, LabelingPreconditionError, MonoidMismatchError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     _emit(serialize_diagram(diagram), args.out)
     return 0
@@ -201,7 +196,7 @@ def _cmd_rhomboids(args) -> int:
             family = explicit_rhomboid_family(params)
         else:
             family = greedy_disjoint_rhomboids(graph, budget=args.budget)
-    except (OSError, DiagramFormatError, BudgetExceededError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     payload = [{"a": r.a, "b": r.b, "c": r.c, "d": r.d} for r in family]
     _emit(json.dumps(payload, indent=2), args.out)
@@ -399,7 +394,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except OSError as exc:  # a failed --report/--out/--csv write is an error, never a verdict
+    except (OSError, DiagramFormatError, BudgetExceededError) as exc:
+        # An unreadable input, a failed --report/--out/--csv write, a bad
+        # document or an exhausted budget is an error, never a verdict.
         return _fail(str(exc))
 
 

@@ -27,7 +27,11 @@ class OrientedGraph:
             raise ValueError("vertex count must be a non-negative integer")
         edges = []
         adjacency = [[] for _ in range(vertex_count)]
-        for idx, (origin, tail) in enumerate(edge_list):
+        for idx, edge in enumerate(edge_list):
+            try:
+                origin, tail = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {idx}: expected an (origin, tail) pair, got {edge!r}") from None
             # ``require_edge``'s rule (no booleans, no non-integers), behind the
             # exact-type test that nearly every endpoint passes.
             if not (type(origin) is int and type(tail) is int) and not all(
@@ -81,20 +85,16 @@ class Path:
 
 
 def is_valid_path(graph: OrientedGraph, path: Path) -> bool:
-    """Whether consecutive edges compose and the endpoints match."""
+    """Whether consecutive edges compose and the endpoints match: a walk from
+    ``path.origin`` along in-range edges, each leaving the vertex the walk is
+    at, that ends at ``path.tail``."""
+    edges = graph.edges
+    vertex = path.origin
     for e in path.edges:
-        if not 0 <= e < graph.edge_count:
+        if not 0 <= e < len(edges) or edges[e][0] != vertex:
             return False
-    if not path.edges:
-        return path.origin == path.tail and 0 <= path.origin < graph.vertex_count
-    if graph.origin(path.edges[0]) != path.origin:
-        return False
-    if graph.tail(path.edges[-1]) != path.tail:
-        return False
-    for prev, nxt in zip(path.edges, path.edges[1:]):
-        if graph.tail(prev) != graph.origin(nxt):
-            return False
-    return True
+        vertex = edges[e][1]
+    return vertex == path.tail and 0 <= path.origin < graph.vertex_count
 
 
 def require_edge(graph: OrientedGraph, edge) -> None:

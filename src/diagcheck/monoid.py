@@ -217,9 +217,10 @@ class _Monoid:
     def descriptor(self) -> dict:
         return {"family": self.family}
 
-    def _check(self, value):
-        if not self.owns(value):
-            raise MonoidMismatchError(f"expected {self._noun}, got {type(value).__name__}")
+    def _check(self, *values):
+        for value in values:
+            if not self.owns(value):
+                raise MonoidMismatchError(f"expected {self._noun}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,7 @@ class FreeMonoid(_Monoid):
 
     def op(self, a: FreeWord, b: FreeWord) -> FreeWord:
         if not (type(a) is FreeWord and type(b) is FreeWord):
-            self._check(a)
-            self._check(b)
+            self._check(a, b)
             return _free_word(a.letters + b.letters)
         # Concatenating an empty tuple returns the other tuple itself; the
         # word holding it is then the product.
@@ -247,8 +247,7 @@ class FreeMonoid(_Monoid):
 
     def eq(self, a: FreeWord, b: FreeWord) -> bool:
         if not (type(a) is FreeWord and type(b) is FreeWord):
-            self._check(a)
-            self._check(b)
+            self._check(a, b)
         return a.letters == b.letters
 
 
@@ -263,8 +262,7 @@ class AdditiveMonoid(_Monoid):
 
     def op(self, a: AdditiveNumber, b: AdditiveNumber) -> AdditiveNumber:
         if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
-            self._check(a)
-            self._check(b)
+            self._check(a, b)
         # The steps of CPython's ``Fraction._add``, which leave the sum in
         # lowest terms.
         na, da = a.num, a.den
@@ -281,8 +279,7 @@ class AdditiveMonoid(_Monoid):
 
     def eq(self, a: AdditiveNumber, b: AdditiveNumber) -> bool:
         if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
-            self._check(a)
-            self._check(b)
+            self._check(a, b)
         return a.num == b.num and a.den == b.den
 
 
@@ -304,8 +301,7 @@ class MatrixMonoid(_Monoid):
             type(a) is IntMatrix and type(b) is IntMatrix
             and len(a.entries) == k and len(b.entries) == k
         ):
-            self._check(a)
-            self._check(b)
+            self._check(a, b)
         return _int_matrix(self._mul(a.entries, b.entries))
 
     def eq(self, a: IntMatrix, b: IntMatrix) -> bool:
@@ -314,8 +310,7 @@ class MatrixMonoid(_Monoid):
             type(a) is IntMatrix and type(b) is IntMatrix
             and len(a.entries) == k and len(b.entries) == k
         ):
-            self._check(a)
-            self._check(b)
+            self._check(a, b)
         return a.entries == b.entries
 
     def owns(self, value) -> bool:
@@ -324,9 +319,10 @@ class MatrixMonoid(_Monoid):
     def descriptor(self) -> dict:
         return {"family": "matrix", "k": self.k}
 
-    def _check(self, value):
-        if not self.owns(value):
-            raise MonoidMismatchError(f"expected a {self.k}x{self.k} integer matrix, got {value!r}")
+    def _check(self, *values):
+        for value in values:
+            if not self.owns(value):
+                raise MonoidMismatchError(f"expected a {self.k}x{self.k} integer matrix, got {value!r}")
 
 
 FREE = FreeMonoid()

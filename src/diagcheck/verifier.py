@@ -186,15 +186,18 @@ class VerificationReport:
 
 
 class WorkingDiagram:
-    """Mutable adjacency copy the reduction phases edit; the source diagram
-    and its graph are never touched.  The phases take labels and monoid from
-    here, which ``verify`` swaps for their traced pairs."""
+    """The adjacency the reduction phases edit: a list of the graph's own
+    out-edge tuples.  A phase replaces a vertex's entry with a fresh list of
+    the edges it keeps and never edits one in place, so the graph is never
+    touched; a phase that stops at a violation leaves its vertex unreduced.
+    The phases take labels and monoid from here, which ``verify`` swaps for
+    their traced pairs."""
 
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
         self.labels = diagram.labels
         self.monoid = diagram.monoid
-        self.adjacency = [list(out) for out in diagram.graph.adjacency]
+        self.adjacency = list(diagram.graph.adjacency)
         self.tails = [t for _, t in diagram.graph.edges]
 
     def remaining_edge_count(self) -> int:
@@ -228,14 +231,12 @@ def remove_loops(working: WorkingDiagram, counters: Counters):
     eq = working.monoid.eq
     tails = working.tails
     one = working.monoid.identity()
-    for v in range(working.diagram.graph.vertex_count):
-        out = working.adjacency[v]
+    for v, out in enumerate(working.adjacency):
         kept = []
-        for pos, e in enumerate(out):
+        for e in out:
             if tails[e] == v:
                 counters.eq_loops += 1
                 if not eq(labels[e], one):
-                    working.adjacency[v] = kept + out[pos:]
                     return NonIdentityLoop(e)
             else:
                 kept.append(e)
@@ -255,10 +256,9 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters):
     n = working.diagram.graph.vertex_count
     stamp = [-1] * n
     kept_edge = [0] * n
-    for v in range(n):
-        out = working.adjacency[v]
+    for v, out in enumerate(working.adjacency):
         kept = []
-        for pos, e in enumerate(out):
+        for e in out:
             u = tails[e]
             if stamp[u] != v:
                 stamp[u] = v
@@ -267,7 +267,6 @@ def remove_multiple_edges(working: WorkingDiagram, counters: Counters):
             else:
                 counters.eq_multi += 1
                 if not eq(labels[e], labels[kept_edge[u]]):
-                    working.adjacency[v] = kept + out[pos:]
                     return MultiEdgeMismatch(e, kept_edge[u])
         working.adjacency[v] = kept
     return None

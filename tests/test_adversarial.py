@@ -109,6 +109,32 @@ def test_rhomboid_gap_rejection_on_every_explicit_square():
     assert len(witnesses) == len(family)
 
 
+def test_unit_pair_labels_are_exact_on_the_stripped_triploid():
+    params = TriploidParams(3, 2, 4, 2, 16)
+    graph = strip_loops(triploid(params))
+    low, high, zero = matrix_unit(3, 0, 1), matrix_unit(3, 1, 2), zero_matrix(3)
+    for square in explicit_rhomboid_family(params):
+        expected = [low if e == square.a else high if e == square.b else zero for e in range(graph.edge_count)]
+        assert list(rhomboid_gap_labeling(graph, square).labels) == expected
+    kinds = set()
+    for first, second in itertools.permutations(range(graph.edge_count), 2):
+        if graph.tail(first) == graph.origin(second):
+            # Every edge leaving o(first) gets E01, every edge entering
+            # t(second) gets E12.
+            expected = [
+                low if graph.origin(e) == graph.origin(first)
+                else high if graph.tail(e) == graph.tail(second)
+                else zero
+                for e in range(graph.edge_count)
+            ]
+            kinds.add("consecutive")
+        else:
+            expected = [low if e == first else high if e == second else zero for e in range(graph.edge_count)]
+            kinds.add("non-consecutive")
+        assert list(nz_pair_labeling(graph, first, second).labels) == expected
+    assert kinds == {"consecutive", "non-consecutive"}
+
+
 def test_rhomboid_gap_violates_exactly_the_square_relation():
     graph = rhomboid_square_graph()
     square = Rhomboid(0, 1, 2, 3)

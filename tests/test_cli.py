@@ -262,3 +262,26 @@ def test_bench_unwritable_csv_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(csv_path) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "MISSING"],
+        ["oracle", "MISSING"],
+        ["gen", "--graph", "MISSING"],
+        ["fixtures", "nz-edge", "--edge", "0", "--graph", "MISSING"],
+        ["rhomboids", "--greedy", "--graph", "MISSING"],
+        ["oracle", "SQUARE", "--budget", "3"],
+        ["rhomboids", "--greedy", "--fit", "40", "300", "--budget", "5"],
+    ],
+    ids=["verify-missing", "oracle-missing", "gen-missing", "fixtures-missing", "rhomboids-missing",
+         "oracle-budget", "rhomboids-budget"],
+)
+def test_unreadable_input_and_exhausted_budget_exit_two(tmp_path, capsys, argv):
+    square = _write(tmp_path, "square.json", serialize_diagram(kirchhoff_square()))
+    paths = {"MISSING": str(tmp_path / "missing.json"), "SQUARE": square}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

@@ -45,8 +45,9 @@ def test_build_single_edge_and_loop():
 
 
 def test_build_rejects_out_of_range_endpoints():
-    # Booleans and floats are not vertex ids, even where they equal one.
-    for edge in [(0, 2), (-1, 0), (True, 0), (0, 1.0), (0.0, 1)]:
+    # Booleans and floats are not vertex ids, even where they equal one, and
+    # an entry that is not a pair is named by its index too.
+    for edge in [(0, 2), (-1, 0), (True, 0), (0, 1.0), (0.0, 1), 5, None, (0,), (0, 1, 1)]:
         with pytest.raises(ValueError, match="edge 0"):
             build(2, [edge])
 
@@ -110,6 +111,67 @@ def test_path_validity():
     assert not is_valid_path(graph, Path((1, 0), 1, 1))
     assert not is_valid_path(graph, Path((0,), 0, 2))
     assert not is_valid_path(graph, Path((7,), 0, 1))
+
+
+def _reference_is_valid_path(graph, path) -> bool:
+    # The four-check form ``is_valid_path`` replaced, kept as the reference.
+    for e in path.edges:
+        if not 0 <= e < graph.edge_count:
+            return False
+    if not path.edges:
+        return path.origin == path.tail and 0 <= path.origin < graph.vertex_count
+    if graph.origin(path.edges[0]) != path.origin:
+        return False
+    if graph.tail(path.edges[-1]) != path.tail:
+        return False
+    for prev, nxt in zip(path.edges, path.edges[1:]):
+        if graph.tail(prev) != graph.origin(nxt):
+            return False
+    return True
+
+
+def _path_cases(graph, rng):
+    n, m = graph.vertex_count, graph.edge_count
+    vertex = start = rng.randrange(n)
+    walk = []
+    for _ in range(rng.randint(0, 5)):
+        out = graph.adjacency[vertex]
+        if not out:
+            break
+        e = rng.choice(out)
+        walk.append(e)
+        vertex = graph.tail(e)
+    yield Path(walk, start, vertex)
+    if len(walk) >= 2:
+        i, j = rng.sample(range(len(walk)), 2)
+        swapped = list(walk)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield Path(swapped, start, vertex)
+    if walk:
+        for bad in (m, m + rng.randint(1, 3), -1, -rng.randint(2, 4)):
+            broken = list(walk)
+            broken[rng.randrange(len(walk))] = bad
+            yield Path(broken, start, vertex)
+    yield Path(walk, (start + 1) % n, vertex)
+    yield Path(walk, start, (vertex + 1) % n)
+    yield Path(walk, start, n)
+    yield Path((), start, start)
+    yield Path((), start, (start + 1) % n)
+    yield Path((), n, n)
+    yield Path((), -1, -1)
+
+
+def test_is_valid_path_matches_reference_on_walks_and_mutations():
+    rng = random.Random(4937)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        graph = build(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))])
+        for path in _path_cases(graph, rng):
+            verdict = is_valid_path(graph, path)
+            assert verdict == _reference_is_valid_path(graph, path), (graph.edges, path)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500
 
 
 def _has_multi_vertex_cycle(graph) -> bool:
