@@ -84,8 +84,6 @@ from .verifier import (
     VerificationReport,
     bound_eq_checks,
     bound_mults,
-    remove_loops,
-    remove_multiple_edges,
     verify,
 )
 

@@ -72,7 +72,7 @@ def _read(path: str) -> str:
 # Graph sources shared by gen / fixtures / rhomboids
 
 
-def _add_graph_source(parser: argparse.ArgumentParser, with_file: bool = True) -> None:
+def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--fit",
@@ -88,8 +88,7 @@ def _add_graph_source(parser: argparse.ArgumentParser, with_file: bool = True) -
         metavar=("N1", "N2", "N3", "N0", "E"),
         help="explicit triploid parameters",
     )
-    if with_file:
-        group.add_argument("--graph", metavar="PATH", help="graph JSON file")
+    group.add_argument("--graph", metavar="PATH", help="graph JSON file")
     parser.add_argument(
         "--strip-loops",
         action="store_true",
@@ -169,12 +168,11 @@ def _fixture_diagram(args, graph: OrientedGraph, params: TriploidParams | None) 
         return rhomboid_gap_labeling(graph, square)
     if name == "loop-indicator":
         return loop_indicator_labeling(graph)
-    if name == "loop-kernel":
-        if args.kernel is None:
-            raise ValueError("loop-kernel requires --kernel")
-        values = [int(part) for part in args.kernel.split(",") if part != ""]
-        return loop_kernel_labeling(graph, values)
-    raise ValueError(f"unknown fixture {name!r}")
+    # argparse's choices leave only loop-kernel.
+    if args.kernel is None:
+        raise ValueError("loop-kernel requires --kernel")
+    values = [int(part) for part in args.kernel.split(",") if part != ""]
+    return loop_kernel_labeling(graph, values)
 
 
 def _cmd_fixtures(args) -> int:
@@ -198,7 +196,7 @@ def _cmd_rhomboids(args) -> int:
             family = greedy_disjoint_rhomboids(graph, budget=args.budget)
     except ValueError as exc:
         return _fail(str(exc))
-    payload = [{"a": r.a, "b": r.b, "c": r.c, "d": r.d} for r in family]
+    payload = [r._asdict() for r in family]
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 

@@ -149,11 +149,10 @@ def choose_triploid(n: int, m: int) -> TriploidParams:
         t = _middle_row_size(n, m)
         q = (n - t) // 4
         return TriploidParams(q, t, q, n - 2 * q - t, m)
-    if n * n < m:
-        q = n // 4
-        half = n // 2
-        return TriploidParams(q, half, q, n - 2 * q - half, m)
-    raise AssertionError(f"parameter regimes failed to cover n={n}, m={m}")
+    # Regimes 1-3 cover every m <= n^2, so here n^2 < m.
+    q = n // 4
+    half = n // 2
+    return TriploidParams(q, half, q, n - 2 * q - half, m)
 
 
 def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = 10**6) -> list[Rhomboid]:

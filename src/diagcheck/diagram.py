@@ -13,11 +13,11 @@ labels are integers or exact "p/q" strings, free labels are lists of
 non-negative generator ids.  Edge order in the file is the edge id order.
 
 The parser accepts any JSON layout.  The writers emit one canonical layout:
-the bytes ``json.dumps(diagram_to_dict(d), indent=2)`` gives (the example
-above is compacted for reading), written directly rather than through the
-encoder.  An integer longer than the interpreter's int-string limit (4300
-digits by default), as a JSON number or inside a "p/q" label, is a format
-error like any other.
+the bytes ``json.dumps(doc, indent=2)`` gives for the document as a dict
+``doc`` (the example above is compacted for reading), written directly
+rather than through the encoder.  An integer longer than the interpreter's
+int-string limit (4300 digits by default), as a JSON number or inside a
+"p/q" label, is a format error like any other.
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ class Diagram:
         object.__setattr__(self, "labels", labels)
 
     def __repr__(self):
-        return f"Diagram({self.graph!r}, monoid={self.monoid.descriptor()})"
+        descriptor = getattr(self.monoid, "descriptor", None)
+        monoid = type(self.monoid).__name__ if descriptor is None else descriptor()
+        return f"Diagram({self.graph!r}, monoid={monoid})"
 
 
 def label_of_sequence(diagram: Diagram, edge_ids):
@@ -257,32 +259,12 @@ def parse_graph(text: str) -> OrientedGraph:
 # ---------------------------------------------------------------------------
 # Serialization
 #
-# The canonical document is ``json.dumps(diagram_to_dict(d), indent=2)``.
-# With an indent that call runs the pure-Python encoder, so the writers below
-# lay out the same bytes directly: each edge entry and each label is one
-# formatted string.  Integers are written as the encoder writes them, by
-# ``int.__repr__`` or by ``%d``, which gives the same digits for every ``int``.
-
-
-def _encode_label(label):
-    if isinstance(label, FreeWord):
-        return list(label.letters)
-    if isinstance(label, AdditiveNumber):
-        return label.num if label.den == 1 else f"{label.num}/{label.den}"
-    if isinstance(label, IntMatrix):
-        return [list(row) for row in label.entries]
-    raise TypeError(f"cannot serialize label of type {type(label).__name__}")
-
-
-def diagram_to_dict(diagram: Diagram) -> dict:
-    return {
-        "vertices": diagram.graph.vertex_count,
-        "monoid": diagram.monoid.descriptor(),
-        "edges": [
-            {"origin": origin, "tail": tail, "label": _encode_label(diagram.labels[idx])}
-            for idx, (origin, tail) in enumerate(diagram.graph.edges)
-        ],
-    }
+# The canonical document is ``json.dumps(doc, indent=2)`` of the document as
+# a dict.  With an indent that call runs the pure-Python encoder, so the
+# writers below lay out the same bytes directly: each edge entry and each
+# label is one formatted string.  Integers are written as the encoder writes
+# them, by ``int.__repr__`` or by ``%d``, which gives the same digits for
+# every ``int``.
 
 
 # ``_NEWLINE[level]`` starts a line at indent ``level``; ``_SEPARATOR[level]``
@@ -315,7 +297,7 @@ def _matrix_template(k: int) -> str:
 
 
 def _format_label(label) -> str:
-    """``_encode_label(label)`` as it appears in a canonical diagram document."""
+    """``label``'s JSON value as it appears in a canonical diagram document."""
     if isinstance(label, FreeWord):
         return _int_list(label.letters, 3)
     if isinstance(label, AdditiveNumber):
@@ -340,14 +322,7 @@ def serialize_diagram(diagram: Diagram) -> str:
     )
 
 
-def graph_to_dict(graph: OrientedGraph) -> dict:
-    return {
-        "vertices": graph.vertex_count,
-        "edges": [{"origin": origin, "tail": tail} for origin, tail in graph.edges],
-    }
-
-
 def serialize_graph(graph: OrientedGraph) -> str:
-    """Canonical document: ``json.dumps(graph_to_dict(graph), indent=2)``."""
+    """Canonical document: ``json.dumps(doc, indent=2)`` of the graph as a dict."""
     edges = [_GRAPH_EDGE % (int.__repr__(origin), int.__repr__(tail)) for origin, tail in graph.edges]
     return f'{{\n  "vertices": {int.__repr__(graph.vertex_count)},\n  "edges": {_json_list(edges, 1)}\n}}'

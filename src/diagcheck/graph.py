@@ -80,9 +80,6 @@ class Path:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
 
-    def __len__(self):
-        return len(self.edges)
-
 
 def is_valid_path(graph: OrientedGraph, path: Path) -> bool:
     """Whether consecutive edges compose and the endpoints match: a walk from

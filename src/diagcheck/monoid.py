@@ -372,7 +372,7 @@ def number(value) -> AdditiveNumber:
 
 
 def matrix(rows) -> IntMatrix:
-    return IntMatrix(tuple(tuple(row) for row in rows))
+    return IntMatrix(rows)
 
 
 def matrix_unit(k: int, row: int, col: int) -> IntMatrix:

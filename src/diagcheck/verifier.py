@@ -17,9 +17,9 @@ A relation trace is the same run over M x the free monoid on edge ids: edge
 e is labeled (label, (e,)), and ``_TracedMonoid`` records the edge-id words of
 the operands of every ``op`` and ``eq``, so the phases carry no trace code.
 
-``VerificationReport.to_json`` writes the bytes of
-``json.dumps(report.to_dict(), indent=2)`` directly, one template per fixed
-shape, so a report and its trace cost one string format per entry.
+``VerificationReport.to_json`` writes ``json.dumps(doc, indent=2)`` of the
+report as a dict ``doc`` directly, one template per fixed shape, so a report
+and its trace cost one string format per entry.
 """
 
 from __future__ import annotations
@@ -70,31 +70,6 @@ class PathMismatch:
     path2: Path
 
 
-def witness_to_dict(witness) -> dict:
-    if isinstance(witness, NonIdentityLoop):
-        return {"kind": "non_identity_loop", "edge": witness.edge}
-    if isinstance(witness, MultiEdgeMismatch):
-        return {"kind": "multi_edge_mismatch", "edge": witness.edge, "kept": witness.kept}
-    if isinstance(witness, PathMismatch):
-        return {
-            "kind": "path_mismatch",
-            "path1": _path_to_dict(witness.path1),
-            "path2": _path_to_dict(witness.path2),
-        }
-    raise TypeError(f"not a witness: {type(witness).__name__}")
-
-
-def _path_to_dict(path: Path) -> dict:
-    return {"edges": list(path.edges), "origin": path.origin, "tail": path.tail}
-
-
-def trace_to_dict(trace: RelationTrace) -> dict:
-    return {
-        "relations": [[list(lhs), list(rhs)] for lhs, rhs in trace.relations],
-        "products": [[list(lhs), list(rhs)] for lhs, rhs in trace.products],
-    }
-
-
 # Layouts of the report document's fixed shapes.  Every ``%d`` value is an
 # ``int`` the verifier counted or chose, which ``%d`` writes as the encoder does.
 
@@ -119,7 +94,7 @@ _TRACE_PAIR = "[\n        %s,\n        %s\n      ]"
 
 
 def _format_witness(witness) -> str:
-    """``witness_to_dict(witness)`` as it appears in the report document."""
+    """``witness``'s JSON object as it appears in the report document."""
     if isinstance(witness, NonIdentityLoop):
         return _LOOP_WITNESS % witness.edge
     if isinstance(witness, MultiEdgeMismatch):
@@ -154,23 +129,8 @@ class VerificationReport:
     def mult_total(self) -> int:
         return self.counters.mult_dfs
 
-    def to_dict(self) -> dict:
-        c = self.counters
-        return {
-            "commutative": self.commutative,
-            "counters": {
-                "eq_loops": c.eq_loops,
-                "eq_multi": c.eq_multi,
-                "eq_dfs": c.eq_dfs,
-                "mult_dfs": c.mult_dfs,
-                "reduced_edges": self.reduced_edges,
-            },
-            "witness": witness_to_dict(self.witness) if self.witness is not None else None,
-            "trace": None if self.trace is None else trace_to_dict(self.trace),
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, written directly."""
+        """``json.dumps(doc, indent=2)`` of the report as a dict, written directly."""
         c = self.counters
         trace = self.trace
         return _REPORT % (
@@ -199,9 +159,6 @@ class WorkingDiagram:
         self.monoid = diagram.monoid
         self.adjacency = list(diagram.graph.adjacency)
         self.tails = [t for _, t in diagram.graph.edges]
-
-    def remaining_edge_count(self) -> int:
-        return sum(len(out) for out in self.adjacency)
 
 
 class _TracedMonoid:

@@ -10,9 +10,12 @@ import pytest
 from diagcheck import (
     Rhomboid,
     TriploidParams,
+    loop_indicator_labeling,
+    nz_pair_labeling,
     parse_diagram,
     rhomboid_gap_labeling,
     serialize_diagram,
+    serialize_graph,
     strip_loops,
     triploid,
 )
@@ -226,6 +229,7 @@ def test_bench_requires_seed():
         ("3", "-2", "--m-grid value -2"),
         ("-1,4", "3", "--n-grid value -1"),
         ("0,5", "0,3", "--n-grid value 0"),
+        (",", "4", "empty grid"),
     ],
 )
 def test_bench_rejects_invalid_grid_values(n_grid, m_grid, named, capsys):
@@ -285,3 +289,61 @@ def test_unreadable_input_and_exhausted_budget_exit_two(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# Fixture branches and option checks
+
+_FIG4 = TriploidParams(3, 2, 4, 2, 16)
+_FIG4_ARGS = ["--params", "3", "2", "4", "2", "16"]
+
+
+def test_fixtures_nz_pair(tmp_path, capsys):
+    argv = ["fixtures", "nz-pair", *_FIG4_ARGS, "--strip-loops", "--edge", "0", "--edge2", "1"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == serialize_diagram(nz_pair_labeling(strip_loops(triploid(_FIG4)), 0, 1)) + "\n"
+    assert main(["verify", _write(tmp_path, "pair.json", text)]) == 0
+    capsys.readouterr()
+
+
+def test_fixtures_rhomboid_gap_explicit_rhomboid(tmp_path, capsys):
+    path = _write(tmp_path, "square.json", serialize_graph(rhomboid_square_graph()))
+    assert main(["fixtures", "rhomboid-gap", "--graph", path, "--rhomboid", "0", "1", "2", "3"]) == 0
+    expected = rhomboid_gap_labeling(rhomboid_square_graph(), Rhomboid(0, 1, 2, 3))
+    assert capsys.readouterr().out == serialize_diagram(expected) + "\n"
+
+
+def test_fixtures_loop_indicator(capsys):
+    assert main(["fixtures", "loop-indicator", *_FIG4_ARGS]) == 0
+    assert capsys.readouterr().out == serialize_diagram(loop_indicator_labeling(triploid(_FIG4))) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "DIAGRAM", "--length", "-1"], "length bound must be non-negative"),
+        (["fixtures", "nz-pair", *_FIG4_ARGS, "--strip-loops", "--edge", "0"], "nz-pair requires --edge and --edge2"),
+        (["fixtures", "rhomboid-gap", "--graph", "GRAPH", "--rhomboid-index", "0"], "--rhomboid-index needs a triploid"),
+        (["fixtures", "rhomboid-gap", *_FIG4_ARGS, "--rhomboid-index", "12"], "index out of range (family has 12 members)"),
+        (["fixtures", "rhomboid-gap", *_FIG4_ARGS], "rhomboid-gap requires --rhomboid or --rhomboid-index"),
+        (["fixtures", "loop-kernel", *_FIG4_ARGS], "loop-kernel requires --kernel"),
+        (["rhomboids", "--explicit", "--graph", "GRAPH"], "--explicit needs a triploid source"),
+        (["bounds", "0", "5"], "rank_bounds requires n, m >= 1"),
+        (["bench", "--n-grid", "4", "--m-grid", "4", "--seed", "1", "--instances", "0"], "--instances must be at least 1"),
+    ],
+    ids=[
+        "oracle-negative-length", "nz-pair-no-edge2", "rhomboid-index-on-graph-file", "rhomboid-index-out-of-range",
+        "rhomboid-gap-no-rhomboid", "loop-kernel-no-kernel", "explicit-on-graph-file", "bounds-zero-vertices",
+        "bench-zero-instances",
+    ],
+)
+def test_option_errors_exit_two(tmp_path, capsys, argv, message):
+    paths = {
+        "DIAGRAM": _write(tmp_path, "square.json", serialize_diagram(kirchhoff_square())),
+        "GRAPH": _write(tmp_path, "graph.json", serialize_graph(rhomboid_square_graph())),
+    }
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err

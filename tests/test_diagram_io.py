@@ -36,7 +36,7 @@ from diagcheck import (
     zero_matrix,
 )
 
-from .conftest import random_diagram
+from .conftest import boxed_diagram, kirchhoff_square, random_diagram
 
 
 def test_label_of_sequence_examples():
@@ -132,6 +132,7 @@ def test_parse_matrix_and_rational_labels():
             "edges[0].label",
         ),
         ('{"vertices": 1, "monoid": {"family": "free", "k": 2}, "edges": []}', "unknown key 'k'"),
+        ('{"vertices": 1, "monoid": "free", "edges": []}', "monoid: expected an object with a 'family' key"),
     ],
 )
 def test_parse_errors_carry_location(text, fragment):
@@ -171,6 +172,9 @@ def test_graph_round_trip():
         ('{"vertices": 1, "edges": [{"origin": 0, "tail": 0, "label": []}]}', "edges[0]: unknown key 'label'"),
         ('{"vertices": 1, "edges": [{"origin": "0", "tail": 0}]}', "edges[0].origin: expected an integer"),
         ('{"vertices": 2, "edges": [{"origin": 0, "tail": 1}, {"origin": 0, "tail": 2}]}', "edges[1].tail: endpoint 2"),
+        ("[]", "top level: expected an object"),
+        ('{"vertices": -1, "edges": []}', "vertices: expected an integer >= 0, got -1"),
+        ('{"vertices": 2, "edges": [{"origin": 2, "tail": 0}]}', "edges[0].origin: endpoint 2 out of range"),
     ],
 )
 def test_parse_graph_errors_carry_location(text, fragment):
@@ -229,3 +233,38 @@ def test_matrix_diagram_multiplies_after_pickle_and_deepcopy():
         assert mon.op(loaded.labels[1], loaded.labels[1]) == op(dense, dense)
         assert label_of_sequence(loaded, (0, 1, 2)) == label_of_sequence(d, (0, 1, 2))
         assert verify(loaded).to_json() == expected
+
+
+class _IntegerSums:
+    """A duck-typed monoid whose labels are plain ints, unknown to the writers."""
+
+    def identity(self):
+        return 0
+
+    def op(self, a, b):
+        return a + b
+
+    def eq(self, a, b):
+        return a == b
+
+    def owns(self, value):
+        return type(value) is int
+
+    def descriptor(self):
+        return {"family": "integer-sums"}
+
+
+def test_serialize_refuses_labels_of_an_unknown_family():
+    d = Diagram(build(1, [(0, 0)]), _IntegerSums(), [0])
+    with pytest.raises(TypeError, match="cannot serialize label of type int"):
+        serialize_diagram(d)
+
+
+def test_diagram_repr_with_and_without_a_descriptor():
+    # The monoid's descriptor() when it has one, else its type name: a
+    # duck-typed monoid need not define descriptor().
+    graph = "OrientedGraph(vertices=4, edges=4)"
+    assert repr(kirchhoff_square()) == f"Diagram({graph}, monoid={{'family': 'additive'}})"
+    assert repr(boxed_diagram(kirchhoff_square())[0]) == f"Diagram({graph}, monoid=CountingMonoid)"
+    d = Diagram(build(1, [(0, 0)]), _IntegerSums(), [0])
+    assert repr(d) == "Diagram(OrientedGraph(vertices=1, edges=1), monoid={'family': 'integer-sums'})"

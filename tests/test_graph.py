@@ -10,6 +10,7 @@ from diagcheck import (
     FREE,
     Diagram,
     NonIdentityLoop,
+    OrientedGraph,
     Path,
     TriploidParams,
     build,
@@ -249,3 +250,12 @@ def test_edge_ids_are_checked_alike_everywhere(bad):
         validate_witness(labeled, NonIdentityLoop(bad))
     with pytest.raises(ValueError):
         nz_edge_labeling(square, bad)
+
+
+def test_negative_vertex_count_is_refused():
+    with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
+        OrientedGraph(-1, [])
+
+
+def test_graph_repr_gives_the_sizes():
+    assert repr(rhomboid_square_graph()) == "OrientedGraph(vertices=4, edges=4)"

@@ -365,3 +365,16 @@ def test_descriptor_methods_refuse_foreign_operands(method, mon, own, foreign):
         call(own, foreign)
     with pytest.raises(MonoidMismatchError, match="^expected an? "):
         call(foreign, foreign)
+
+
+def test_constructor_argument_errors():
+    with pytest.raises(ValueError, match="matrix entries must be exact integers"):
+        IntMatrix(((1, 0), (0, 1.0)))
+    with pytest.raises(ValueError, match="matrix dimension must be a positive integer"):
+        matrix_monoid(0)
+    with pytest.raises(ValueError, match="matrix unit position out of range"):
+        matrix_unit(2, 2, 0)
+
+
+def test_additive_repr_shows_the_fraction():
+    assert repr(number(Fraction(-3, 4))) == "AdditiveNumber(value=Fraction(-3, 4))"

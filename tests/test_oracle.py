@@ -153,3 +153,16 @@ def test_every_verifier_witness_validates():
             assert validate_witness(d, report.witness)
             rejected += 1
     assert rejected > 50
+
+
+def test_negative_walk_length_is_refused():
+    with pytest.raises(ValueError, match="length bound must be non-negative"):
+        enumerate_walks(build(1, []), -1)
+
+
+def test_validate_multi_edge_mismatch_needs_equal_endpoints():
+    # Two edges with unequal labels are no parallel pair when an endpoint differs.
+    other_tail = Diagram(build(3, [(0, 1), (0, 2)]), FREE, [word(0), word(1)])
+    assert not validate_witness(other_tail, MultiEdgeMismatch(edge=1, kept=0))
+    other_origin = Diagram(build(3, [(0, 2), (1, 2)]), FREE, [word(0), word(1)])
+    assert not validate_witness(other_origin, MultiEdgeMismatch(edge=1, kept=0))
