@@ -107,7 +107,7 @@ def loop_kernel_labeling(graph: OrientedGraph, values) -> Diagram:
     Non-commutative iff some v is nonzero: that loop's label differs from
     the identity, no matter how the loop labels multiply out together.
     """
-    loops = [e for e in range(graph.edge_count) if graph.is_loop(e)]
+    loops = sorted(graph.loops)
     if not loops:
         raise ValueError("graph has no loops")
     values = list(values)

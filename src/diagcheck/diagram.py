@@ -311,7 +311,10 @@ def _format_label(label) -> str:
 def serialize_diagram(diagram: Diagram) -> str:
     """Canonical document; parse(serialize(d)) is structurally equal to d."""
     graph = diagram.graph
-    monoid = json.dumps(diagram.monoid.descriptor(), indent=2).replace("\n", _NEWLINE[1])
+    descriptor = getattr(diagram.monoid, "descriptor", None)
+    if descriptor is None:
+        raise TypeError(f"cannot serialize monoid of type {type(diagram.monoid).__name__}")
+    monoid = json.dumps(descriptor(), indent=2).replace("\n", _NEWLINE[1])
     edges = [
         _DIAGRAM_EDGE % (int.__repr__(origin), int.__repr__(tail), _format_label(label))
         for (origin, tail), label in zip(graph.edges, diagram.labels)

@@ -3,6 +3,12 @@
 Loops and parallel edges are allowed.  Adjacency lists keep the edge input
 order, which pins down every traversal below (and therefore every counter
 and witness the verifier produces) bit for bit across runs.
+
+A graph also lists, once, the reduction the verifier reads off its edges,
+each in origin order, then edge-id order: ``loops``; ``duplicates``, an
+``(edge, kept)`` pair per non-loop edge after the first edge ``kept`` of its
+parallel bundle; and ``reduced``, each vertex's out-edges without those two,
+which the verifier's DFS walks.  ``tails[e]`` is the tail of edge e.
 """
 
 from __future__ import annotations
@@ -19,13 +25,18 @@ class OrientedGraph:
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    # Derived from the edge table, so equality and hashing leave it out.
+    # Derived from the edge table, so equality and hashing leave them out.
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
+    tails: tuple[int, ...] = field(compare=False)
+    loops: tuple[int, ...] = field(compare=False)
+    duplicates: tuple[tuple[int, int], ...] = field(compare=False)
+    reduced: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, vertex_count: int, edge_list):
         if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
             raise ValueError("vertex count must be a non-negative integer")
         edges = []
+        tails = []
         adjacency = [[] for _ in range(vertex_count)]
         for idx, edge in enumerate(edge_list):
             try:
@@ -41,10 +52,35 @@ class OrientedGraph:
             if not 0 <= origin < vertex_count or not 0 <= tail < vertex_count:
                 raise ValueError(f"edge {idx}: endpoint out of range for {vertex_count} vertices")
             edges.append((origin, tail))
+            tails.append(tail)
             adjacency[origin].append(idx)
+        adjacency = tuple(map(tuple, adjacency))
+        # A stamp table shared by every origin: v keeps its first edge to each tail.
+        loops = []
+        duplicates = []
+        reduced = []
+        stamp = [-1] * vertex_count
+        kept_edge = [0] * vertex_count
+        for v, out in enumerate(adjacency):
+            kept = []
+            for e in out:
+                u = tails[e]
+                if u == v:
+                    loops.append(e)
+                elif stamp[u] != v:
+                    stamp[u] = v
+                    kept_edge[u] = e
+                    kept.append(e)
+                else:
+                    duplicates.append((e, kept_edge[u]))
+            reduced.append(out if len(kept) == len(out) else tuple(kept))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "adjacency", tuple(tuple(out) for out in adjacency))
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "tails", tuple(tails))
+        object.__setattr__(self, "loops", tuple(loops))
+        object.__setattr__(self, "duplicates", tuple(duplicates))
+        object.__setattr__(self, "reduced", tuple(reduced))
 
     @property
     def edge_count(self) -> int:
@@ -107,74 +143,53 @@ def require_edge(graph: OrientedGraph, edge) -> None:
 
 def loop_count(graph: OrientedGraph) -> int:
     """The number of edges whose origin equals their tail."""
-    return sum(1 for origin, tail in graph.edges if origin == tail)
+    return len(graph.loops)
 
 
 def has_multiple_edges(graph: OrientedGraph) -> bool:
     """Two distinct non-loop edges sharing both endpoints (loops never count)."""
-    seen = set()
-    for origin, tail in graph.edges:
-        if origin == tail:
-            continue
-        if (origin, tail) in seen:
-            return True
-        seen.add((origin, tail))
-    return False
+    return bool(graph.duplicates)
 
 
 def has_triangle(graph: OrientedGraph) -> bool:
     """Non-loop edges a, b, c with o(a)=o(b), t(b)=o(c), t(c)=t(a)."""
-    direct = set()
-    outs = [[] for _ in range(graph.vertex_count)]
-    for origin, tail in graph.edges:
-        if origin != tail:
-            direct.add((origin, tail))
-            outs[origin].append(tail)
-    for origin, tail in graph.edges:
-        if origin == tail:
-            continue
-        for far in outs[tail]:
-            if (origin, far) in direct:
-                return True
+    tails = graph.tails
+    reduced = graph.reduced
+    for out in reduced:
+        near = {tails[e] for e in out}
+        if any(tails[c] in near for e in out for c in reduced[tails[e]]):
+            return True
     return False
 
 
 def is_2_path_bounded(graph: OrientedGraph) -> bool:
     """No oriented walk of length 3 avoiding loop edges exists."""
-    n = graph.vertex_count
-    starts_one = [False] * n
-    for origin, tail in graph.edges:
-        if origin != tail:
-            starts_one[origin] = True
-    starts_two = [False] * n
-    for origin, tail in graph.edges:
-        if origin != tail and starts_one[tail]:
-            starts_two[origin] = True
-    for origin, tail in graph.edges:
-        if origin != tail and starts_two[tail]:
-            return False
-    return True
+    tails = graph.tails
+    reduced = graph.reduced
+    starts_two = [any(reduced[tails[e]] for e in out) for out in reduced]
+    return not any(starts_two[tails[e]] for out in reduced for e in out)
 
 
 def is_quasi_acyclic(graph: OrientedGraph) -> bool:
     """Every strongly connected component is a single vertex (loops allowed).
 
-    Kahn's peel: repeatedly remove a vertex with no incoming non-loop edge;
-    every vertex goes exactly when no cycle through two or more vertices
-    exists.
+    Kahn's peel on the reduced adjacency: repeatedly remove a vertex with no
+    incoming non-loop edge; every vertex goes exactly when no cycle through
+    two or more vertices exists.
     """
+    tails = graph.tails
+    reduced = graph.reduced
     indegree = [0] * graph.vertex_count
-    for origin, tail in graph.edges:
-        if origin != tail:
-            indegree[tail] += 1
+    for out in reduced:
+        for e in out:
+            indegree[tails[e]] += 1
     peeled = [v for v, d in enumerate(indegree) if d == 0]
     for v in peeled:  # the list grows while it is walked
-        for e in graph.adjacency[v]:
-            u = graph.edges[e][1]
-            if u != v:
-                indegree[u] -= 1
-                if indegree[u] == 0:
-                    peeled.append(u)
+        for e in reduced[v]:
+            u = tails[e]
+            indegree[u] -= 1
+            if indegree[u] == 0:
+                peeled.append(u)
     return len(peeled) == graph.vertex_count
 
 

@@ -43,7 +43,7 @@ def _walks(graph: OrientedGraph, length_bound: int, budget: int, empty, op, labe
     ``op(label, labels[e])`` per extension.  Raises past ``budget`` walks."""
     if length_bound < 0:
         raise ValueError("length bound must be non-negative")
-    tails = [t for _, t in graph.edges]
+    tails = graph.tails
     count = 0
     for start in range(graph.vertex_count):
         stack = [(0, start, empty())]

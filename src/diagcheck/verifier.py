@@ -1,13 +1,13 @@
 """The core verification pass with exact operation accounting.
 
-The pass runs three phases on a private working copy of the diagram:
+The pass runs three phases over the reduction the graph lists once
+(``OrientedGraph.loops``, ``duplicates`` and ``reduced``):
 
-1. every loop edge is checked against the identity and removed;
-2. for each origin, the first edge to each tail is kept and every further
-   parallel edge is checked against it and removed;
-3. from every vertex in ascending id order, a depth-first search propagates
-   a product m(v) along tree edges and checks every non-tree edge, with
-   visited marks and m-values reset per root.
+1. every loop edge is checked against the identity;
+2. every parallel edge is checked against the first edge of its bundle;
+3. from every vertex in ascending id order, a depth-first search on the
+   reduced adjacency propagates a product m(v) along tree edges and checks
+   every non-tree edge, with visited marks and m-values reset per root.
 
 Labels are touched only through the monoid's ``identity``/``op``/``eq``; every
 ``op`` and ``eq`` call is counted, and the counters are the report.  The pass
@@ -145,22 +145,6 @@ class VerificationReport:
         )
 
 
-class WorkingDiagram:
-    """The adjacency the reduction phases edit: a list of the graph's own
-    out-edge tuples.  A phase replaces a vertex's entry with a fresh list of
-    the edges it keeps and never edits one in place, so the graph is never
-    touched; a phase that stops at a violation leaves its vertex unreduced.
-    The phases take labels and monoid from here, which ``verify`` swaps for
-    their traced pairs."""
-
-    def __init__(self, diagram: Diagram):
-        self.diagram = diagram
-        self.labels = diagram.labels
-        self.monoid = diagram.monoid
-        self.adjacency = list(diagram.graph.adjacency)
-        self.tails = [t for _, t in diagram.graph.edges]
-
-
 class _TracedMonoid:
     """M x the free monoid on edge ids.  A value is a ``(label, edges)`` pair,
     and every ``op``/``eq`` records its two edge-id words in the trace before
@@ -173,6 +157,9 @@ class _TracedMonoid:
     def identity(self):
         return (self.inner.identity(), ())
 
+    def owns(self, value) -> bool:
+        return self.inner.owns(value[0])
+
     def op(self, a, b):
         self.trace.products.append((a[1], b[1]))
         return (self.inner.op(a[0], b[0]), a[1] + b[1])
@@ -182,50 +169,26 @@ class _TracedMonoid:
         return self.inner.eq(a[0], b[0])
 
 
-def remove_loops(working: WorkingDiagram, counters: Counters):
-    """Check every loop against the identity and drop it; first failure wins."""
-    labels = working.labels
-    eq = working.monoid.eq
-    tails = working.tails
-    one = working.monoid.identity()
-    for v, out in enumerate(working.adjacency):
-        kept = []
-        for e in out:
-            if tails[e] == v:
-                counters.eq_loops += 1
-                if not eq(labels[e], one):
-                    return NonIdentityLoop(e)
-            else:
-                kept.append(e)
-        working.adjacency[v] = kept
+def remove_loops(diagram: Diagram, counters: Counters):
+    """Check every loop against the identity; first failure wins."""
+    labels = diagram.labels
+    eq = diagram.monoid.eq
+    one = diagram.monoid.identity()
+    for e in diagram.graph.loops:
+        counters.eq_loops += 1
+        if not eq(labels[e], one):
+            return NonIdentityLoop(e)
     return None
 
 
-def remove_multiple_edges(working: WorkingDiagram, counters: Counters):
-    """Keep the first edge per (origin, tail), check and drop the rest.
-
-    One timestamped scratch table is reused across origins, so the whole
-    phase is linear in vertices plus edges.  Assumes loops are already gone.
-    """
-    labels = working.labels
-    eq = working.monoid.eq
-    tails = working.tails
-    n = working.diagram.graph.vertex_count
-    stamp = [-1] * n
-    kept_edge = [0] * n
-    for v, out in enumerate(working.adjacency):
-        kept = []
-        for e in out:
-            u = tails[e]
-            if stamp[u] != v:
-                stamp[u] = v
-                kept_edge[u] = e
-                kept.append(e)
-            else:
-                counters.eq_multi += 1
-                if not eq(labels[e], labels[kept_edge[u]]):
-                    return MultiEdgeMismatch(e, kept_edge[u])
-        working.adjacency[v] = kept
+def remove_multiple_edges(diagram: Diagram, counters: Counters):
+    """Check every parallel edge against its bundle's first edge; first failure wins."""
+    labels = diagram.labels
+    eq = diagram.monoid.eq
+    for e, kept in diagram.graph.duplicates:
+        counters.eq_multi += 1
+        if not eq(labels[e], labels[kept]):
+            return MultiEdgeMismatch(e, kept)
     return None
 
 
@@ -239,17 +202,17 @@ def _tree_path(graph, parent_edge, root: int, vertex: int) -> tuple[int, ...]:
     return tuple(backwards)
 
 
-def _dfs_all_roots(working: WorkingDiagram, counters: Counters):
+def _dfs_all_roots(diagram: Diagram, counters: Counters):
     """Label-checked DFS from every root in ascending order on the reduced
     adjacency.  One set of arrays serves every root: a vertex counts as
     visited only if its stamp is the current root, so resets are free."""
-    graph = working.diagram.graph
-    labels = working.labels
-    mon = working.monoid
+    graph = diagram.graph
+    labels = diagram.labels
+    mon = diagram.monoid
     op = mon.op
     eq = mon.eq
-    adjacency = working.adjacency
-    tails = working.tails
+    adjacency = graph.reduced
+    tails = graph.tails
     n = graph.vertex_count
     visited = [-1] * n
     m_value = [None] * n
@@ -292,7 +255,7 @@ def reduced_edge_count(diagram: Diagram) -> int:
     """The size of the edge set after removing every loop and merging every
     parallel bundle: one edge per distinct (origin, tail) pair with the two
     endpoints different.  Always below the squared vertex count."""
-    return len({pair for pair in diagram.graph.edges if pair[0] != pair[1]})
+    return sum(map(len, diagram.graph.reduced))
 
 
 def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
@@ -303,15 +266,14 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
     """
     relation_trace = RelationTrace() if trace else None
     counters = Counters()
-    working = WorkingDiagram(diagram)
     if trace:
-        working.monoid = _TracedMonoid(diagram.monoid, relation_trace)
-        working.labels = [(label, (e,)) for e, label in enumerate(diagram.labels)]
-    witness = remove_loops(working, counters)
+        traced = _TracedMonoid(diagram.monoid, relation_trace)
+        diagram = Diagram(diagram.graph, traced, [(label, (e,)) for e, label in enumerate(diagram.labels)])
+    witness = remove_loops(diagram, counters)
     if witness is None:
-        witness = remove_multiple_edges(working, counters)
+        witness = remove_multiple_edges(diagram, counters)
     if witness is None:
-        witness = _dfs_all_roots(working, counters)
+        witness = _dfs_all_roots(diagram, counters)
     return VerificationReport(
         commutative=witness is None,
         counters=counters,

@@ -41,6 +41,7 @@ from diagcheck import (
 from diagcheck.cli import _identity_labeled, random_graph
 
 from .conftest import random_diagram
+from .reference import predicted_counters
 
 SMALL_SUITE_SEED = 0xD1A6
 SMALL_SUITE_SIZE = 10_000
@@ -77,23 +78,28 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_count_bounds():
-    def check(diagram):
+    # Every run stays within the bounds; a commuting run's counters equal
+    # the graph's prediction exactly.
+    def check(diagram) -> bool:
         n = diagram.graph.vertex_count
         m = diagram.graph.edge_count
         report = verify(diagram)
         reduced = report.reduced_edges
         assert report.eq_total <= bound_eq_checks(n, m, reduced) <= bound_eq_checks(n, m)
         assert report.mult_total <= bound_mults(n, m, reduced) <= bound_mults(n, m)
+        if report.commutative:
+            assert report.counters == predicted_counters(diagram.graph)
+        return report.commutative
 
-    for diagram in _small_suite():
-        check(diagram)
+    commuting = sum(check(diagram) for diagram in _small_suite())
+    assert commuting > 3000
 
     rng = random.Random(SMALL_SUITE_SEED + 1)
     for n in N_GRID:
         for m in M_GRID:
             for _ in range(2):
-                check(_identity_labeled(random_graph(n, m, rng)))
-    _announce(2, "COUNT BOUNDS (exact, tolerance 0)")
+                assert check(_identity_labeled(random_graph(n, m, rng)))
+    _announce(2, "COUNT BOUNDS AND EXACT COMMUTING COUNTS (tolerance 0)")
 
 
 def test_criterion_3_nu_ge_on_the_full_grid():

@@ -260,6 +260,13 @@ def test_serialize_refuses_labels_of_an_unknown_family():
         serialize_diagram(d)
 
 
+def test_serialize_refuses_a_monoid_without_a_descriptor():
+    # The document's "monoid" entry is the descriptor, which a duck-typed
+    # monoid need not define.
+    with pytest.raises(TypeError, match="cannot serialize monoid of type CountingMonoid"):
+        serialize_diagram(boxed_diagram(kirchhoff_square())[0])
+
+
 def test_diagram_repr_with_and_without_a_descriptor():
     # The monoid's descriptor() when it has one, else its type name: a
     # duck-typed monoid need not define descriptor().

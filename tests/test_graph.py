@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -30,6 +33,10 @@ from diagcheck import (
 )
 
 from .conftest import rhomboid_square_graph, triangle_graph
+from .reference import predicates, reduction
+
+_DERIVED = ("adjacency", "tails", "loops", "duplicates", "reduced")
+_PREDICATES = (loop_count, has_multiple_edges, has_triangle, is_2_path_bounded, is_quasi_acyclic)
 
 
 def test_build_read_back_is_identity():
@@ -259,3 +266,56 @@ def test_negative_vertex_count_is_refused():
 
 def test_graph_repr_gives_the_sizes():
     assert repr(rhomboid_square_graph()) == "OrientedGraph(vertices=4, edges=4)"
+
+
+def test_reduction_fields_are_listed_in_origin_then_edge_id_order():
+    # Vertex 1's edges come first in the input, yet vertex 0's come first in
+    # every list; within a vertex the edge ids ascend.
+    graph = build(3, [(1, 1), (1, 2), (1, 2), (0, 0), (0, 1), (0, 1), (0, 0), (0, 2)])
+    assert graph.tails == (1, 2, 2, 0, 1, 1, 0, 2)
+    assert graph.loops == (3, 6, 0)
+    assert graph.duplicates == ((5, 4), (2, 1))
+    assert graph.reduced == ((4, 7), (1,), ())
+
+
+def _random_multigraph(rng):
+    n = rng.randint(0, 7)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))] if n else []
+    while pairs and len(pairs) < 14 and rng.random() < 0.3:
+        pairs.append(rng.choice(pairs))  # a parallel edge or a second loop
+    rng.shuffle(pairs)
+    return build(n, pairs)
+
+
+def test_reduction_and_predicates_match_their_definitions():
+    # A fixed seed, so every run checks the same graphs.
+    rng = random.Random(1212)
+    seen = {name: set() for name in ("loops", "duplicates", *(p.__name__ for p in _PREDICATES))}
+    for _ in range(1500):
+        graph = _random_multigraph(rng)
+        expected = reduction(graph)
+        assert {name: getattr(graph, name) for name in expected} == expected, graph.edges
+        truth = predicates(graph)
+        for predicate in _PREDICATES:
+            value = predicate(graph)
+            assert value == truth[predicate.__name__], (predicate.__name__, graph.edges)
+            seen[predicate.__name__].add(bool(value))
+        seen["loops"].add(bool(graph.loops))
+        seen["duplicates"].add(bool(graph.duplicates))
+    assert all(values == {False, True} for values in seen.values()), seen
+
+
+def test_derived_fields_leave_equality_and_hashing_alone():
+    assert [f.name for f in fields(OrientedGraph) if f.compare] == ["vertex_count", "edges"]
+    graph = build(3, [(0, 0), (0, 1), (0, 1), (1, 2)])
+    twin = build(3, [(0, 0), (0, 1), (0, 1), (1, 2)])
+    assert graph == twin and hash(graph) == hash(twin) == hash((3, graph.edges))
+    assert graph != build(3, [(0, 1), (0, 0), (0, 1), (1, 2)])
+
+
+def test_derived_fields_survive_pickle_and_deepcopy():
+    graph = build(3, [(1, 1), (1, 2), (1, 2), (0, 0), (0, 1), (0, 2)])
+    for clone in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+        assert clone == graph
+        for name in _DERIVED:
+            assert getattr(clone, name) == getattr(graph, name), name
