@@ -4,7 +4,7 @@ The wire format is a single JSON object::
 
     {
       "vertices": <int>,
-      "monoid": {"family": "free" | "additive" | "matrix", "k": <int, matrix only>},
+      "monoid": {"family": "free" | "additive" | "matrix", "k": <1..256, matrix only>},
       "edges": [{"origin": <int>, "tail": <int>, "label": <family-specific>}, ...]
     }
 
@@ -35,9 +35,12 @@ from .graph import OrientedGraph, require_edge
 from .monoid import (
     ADDITIVE,
     FREE,
+    AdditiveMonoid,
     AdditiveNumber,
+    FreeMonoid,
     FreeWord,
     IntMatrix,
+    MatrixMonoid,
     MonoidMismatchError,
     _additive,
     _free_word,
@@ -76,6 +79,31 @@ class Diagram:
         return f"Diagram({self.graph!r}, monoid={monoid})"
 
 
+# Exactly these types: a subclass may override ``op``/``eq``, and a wrapper
+# that forwards unknown attributes would expose its inner ``_kernel``.
+_PAYLOAD_FAMILIES = (FreeMonoid, AdditiveMonoid, MatrixMonoid)
+
+
+def _payload_diagram(diagram: Diagram) -> Diagram:
+    """``diagram`` over its family's payload kernel, with payload labels, when
+    its monoid is exactly one of the three built-in families; ``diagram``
+    itself otherwise.  Its labels were checked when it was built, and each
+    family is closed under its operation, so nothing is checked again."""
+    monoid = diagram.monoid
+    if type(monoid) not in _PAYLOAD_FAMILIES:
+        return diagram
+    kernel = monoid._kernel
+    payloads = object.__new__(Diagram)
+    object.__setattr__(payloads, "graph", diagram.graph)
+    object.__setattr__(payloads, "monoid", kernel)
+    # A list: ``tuple(map(...))`` builds its tuple by resizing a 10-slot one,
+    # and CPython keeps each freed tuple of fewer than 20 slots on a free list
+    # for its size, so one more would stay allocated per call, up to 2,000
+    # per edge count.
+    object.__setattr__(payloads, "labels", list(map(kernel.payload, diagram.labels)))
+    return payloads
+
+
 def label_of_sequence(diagram: Diagram, edge_ids):
     """The left-to-right label product of an edge sequence (not necessarily a
     path); the empty sequence maps to the identity."""
@@ -99,6 +127,9 @@ def label_of_sequence(diagram: Diagram, edge_ids):
 # so the value classes do not check every entry a second time.
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
+# The largest matrix dimension a document may declare; the instance builds
+# its k x k identity at once, before any edge is read.
+_MAX_MATRIX_K = 256
 _FAMILIES = ("free", "additive", "matrix")
 _GRAPH_KEYS = ("origin", "tail")
 _DIAGRAM_KEYS = ("origin", "tail", "label")
@@ -145,6 +176,8 @@ def _parse_monoid(obj):
     if family == "matrix":
         _expect_keys(obj, ("family", "k"), "monoid")
         k = _expect_int(obj["k"], "monoid.k", minimum=1)
+        if k > _MAX_MATRIX_K:
+            _fail("monoid.k", f"expected an integer <= {_MAX_MATRIX_K}, got {k}")
         return matrix_monoid(k)
     _expect_keys(obj, ("family",), "monoid")
     return FREE if family == "free" else ADDITIVE

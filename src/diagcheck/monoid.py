@@ -7,21 +7,30 @@ ints; rationals are reduced integer pairs), so equality is always decidable
 and no tolerance parameter exists anywhere in the package.
 
 Values are immutable and know their monoid instance; instances are small
-descriptor objects exposing ``identity``, ``op`` and ``eq``, which is the
-only surface the verifier is allowed to touch.  Because values are immutable,
-``op`` may return one of its operands: ``FREE.op`` returns the other word when
-one word is empty.  Each matrix instance picks its product kernel once, by k:
-unrolled formulas for k = 2 and 3, and for any other k a row-by-row product
-that skips the zero entries of mostly-zero rows.
+descriptor objects exposing ``identity``, ``op`` and ``eq``, which check their
+operands on every call.  Because values are immutable, ``op`` may return one
+of its operands: ``FREE.op`` returns the other word when one word is empty.
+Each matrix instance picks its product kernel once, by k: unrolled formulas
+for k = 2 and 3, and for any other k a row-by-row product that skips the zero
+entries of mostly-zero rows.
+
+Each family's arithmetic is written once, as a kernel on the raw payload a
+value holds (a free word's ``letters``, an additive number's ``(num, den)``
+pair, a matrix's ``entries``).  The boxed ``op``/``eq`` check their operands
+and call it; ``_kernel`` holds the same arithmetic as an unchecked monoid on
+payloads, which ``verify`` and ``oracle_verify`` run on once a ``Diagram`` has
+checked every label.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from operator import add, mul
+from operator import add, attrgetter, mul
+from typing import Callable, NamedTuple
 
 from .errors import frozen
 
@@ -145,6 +154,36 @@ def _int_matrix(entries: tuple) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Payload kernels.  ``_Kernel`` is a family's monoid on raw payloads, with no
+# operand check: ``payload`` maps a checked value to its payload.
+
+
+class _Kernel(NamedTuple):
+    one: object
+    op: Callable
+    eq: Callable
+    payload: Callable
+
+    def identity(self):
+        return self.one
+
+
+def _add_pairs(a, b):
+    """The sum of two normalized ``(num, den)`` pairs, normalized: the steps
+    of CPython's ``Fraction._add``, which leave the sum in lowest terms."""
+    na, da = a
+    nb, db = b
+    g = gcd(da, db)
+    if g == 1:
+        return (na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return (t, s * db)
+    return (t // g2, s * (db // g2))
+
+
 # Matrix product kernels on row tuples.  ``MatrixMonoid`` picks one per k;
 # they are module-level functions so that instances still pickle.
 
@@ -198,15 +237,16 @@ _MUL_KERNELS = {2: _mul_2, 3: _mul_3}
 #
 # ``op``/``eq`` accept operands of exactly their value class inline and call
 # ``_check`` otherwise, which raises the mismatch error for a foreign operand
-# and accepts a subclass; products go through the trusted builders.  Each
-# instance builds its identity once; values are immutable, so every caller
-# may share it, and a product may be one of its operands.
+# and accepts a subclass; then they run the family's kernel on the payloads,
+# and products go through the trusted builders.  Each instance builds its
+# identity once; values are immutable, so every caller may share it, and a
+# product may be one of its operands.
 
 
 class _Monoid:
     """The descriptor surface every family shares.  A subclass sets
-    ``family``, its identity ``_one``, its ``_value_class`` and the ``_noun``
-    that mismatch errors name."""
+    ``family``, its identity ``_one``, its ``_value_class``, the ``_noun``
+    that mismatch errors name and its payload ``_kernel``."""
 
     def identity(self):
         return self._one
@@ -231,13 +271,14 @@ class FreeMonoid(_Monoid):
     _one = FreeWord(())
     _value_class = FreeWord
     _noun = "a free word"
+    # Tuple concatenation returns the other tuple itself when one is empty.
+    _kernel = _Kernel((), add, operator.eq, attrgetter("letters"))
 
     def op(self, a: FreeWord, b: FreeWord) -> FreeWord:
         if not (type(a) is FreeWord and type(b) is FreeWord):
             self._check(a, b)
             return _free_word(a.letters + b.letters)
-        # Concatenating an empty tuple returns the other tuple itself; the
-        # word holding it is then the product.
+        # The word holding a shared operand tuple is then the product.
         letters = a.letters + b.letters
         if letters is a.letters:
             return a
@@ -259,23 +300,13 @@ class AdditiveMonoid(_Monoid):
     _one = AdditiveNumber(0)
     _value_class = AdditiveNumber
     _noun = "an additive number"
+    _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"))
 
     def op(self, a: AdditiveNumber, b: AdditiveNumber) -> AdditiveNumber:
         if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
             self._check(a, b)
-        # The steps of CPython's ``Fraction._add``, which leave the sum in
-        # lowest terms.
-        na, da = a.num, a.den
-        nb, db = b.num, b.den
-        g = gcd(da, db)
-        if g == 1:
-            return _additive(na * db + da * nb, da * db)
-        s = da // g
-        t = na * (db // g) + nb * s
-        g2 = gcd(t, g)
-        if g2 == 1:
-            return _additive(t, s * db)
-        return _additive(t // g2, s * (db // g2))
+        num, den = _add_pairs((a.num, a.den), (b.num, b.den))
+        return _additive(num, den)
 
     def eq(self, a: AdditiveNumber, b: AdditiveNumber) -> bool:
         if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
@@ -292,8 +323,11 @@ class MatrixMonoid(_Monoid):
 
     def __post_init__(self):
         k = self.k
-        object.__setattr__(self, "_one", IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k))))
-        object.__setattr__(self, "_mul", _MUL_KERNELS.get(k, _mul_rows))
+        one = IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
+        product = _MUL_KERNELS.get(k, _mul_rows)
+        object.__setattr__(self, "_one", one)
+        object.__setattr__(self, "_mul", product)
+        object.__setattr__(self, "_kernel", _Kernel(one.entries, product, operator.eq, attrgetter("entries")))
 
     def op(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
         k = self.k

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, label_of_sequence
+from .diagram import Diagram, _payload_diagram, label_of_sequence
 from .errors import BudgetExceededError
 from .graph import OrientedGraph, is_valid_path, require_edge
 from .verifier import MultiEdgeMismatch, NonIdentityLoop, PathMismatch
@@ -75,8 +75,10 @@ def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WAL
 
     Exact whenever length_bound >= |V|.  Labels are built incrementally (one
     product per walk extension) and each walk is compared against the first
-    one seen for its endpoint pair.
+    one seen for its endpoint pair.  A built-in family runs on its payload
+    kernel, as in ``verify``.
     """
+    diagram = _payload_diagram(diagram)
     mon = diagram.monoid
     eq = mon.eq
     reference: dict = {}

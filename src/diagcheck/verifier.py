@@ -9,9 +9,15 @@ The pass runs three phases over the reduction the graph lists once
    reduced adjacency propagates a product m(v) along tree edges and checks
    every non-tree edge, with visited marks and m-values reset per root.
 
-Labels are touched only through the monoid's ``identity``/``op``/``eq``; every
-``op`` and ``eq`` call is counted, and the counters are the report.  The pass
-stops at the first violation and returns a witness for it.
+The phases touch labels only through ``diagram.monoid``'s
+``identity``/``op``/``eq``; every ``op`` and ``eq`` call is counted, and the
+counters are the report.  The pass stops at the first violation and returns a
+witness for it.  When the monoid is exactly one of the three built-in
+families, ``verify`` hands the phases the diagram over that family's payload
+kernel (``diagram._payload_diagram``): the same arithmetic on the raw
+payloads, with no per-call operand check or value object.  Any other monoid,
+a subclass or a wrapper included, is called as it is.  Witnesses hold only
+edge ids, so no payload leaves the pass.
 
 A relation trace is the same run over M x the free monoid on edge ids: edge
 e is labeled (label, (e,)), and ``_TracedMonoid`` records the edge-id words of
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, _int_list, _json_list
+from .diagram import Diagram, _int_list, _json_list, _payload_diagram
 from .graph import Path
 
 
@@ -269,6 +275,8 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
     if trace:
         traced = _TracedMonoid(diagram.monoid, relation_trace)
         diagram = Diagram(diagram.graph, traced, [(label, (e,)) for e, label in enumerate(diagram.labels)])
+    else:
+        diagram = _payload_diagram(diagram)
     witness = remove_loops(diagram, counters)
     if witness is None:
         witness = remove_multiple_edges(diagram, counters)

@@ -63,6 +63,15 @@ def test_verify_malformed_input_exit_two(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_matrix_dimension_past_the_cap_exit_two(tmp_path, capsys, command):
+    path = _write(tmp_path, "wide.json", '{"vertices": 0, "monoid": {"family": "matrix", "k": 100000}, "edges": []}')
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "monoid.k: expected an integer <= 256, got 100000" in captured.err
+
+
 _TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
 
 

@@ -141,6 +141,15 @@ def test_parse_errors_carry_location(text, fragment):
     assert fragment in str(excinfo.value)
 
 
+def test_matrix_dimension_is_capped_at_256():
+    text = '{"vertices": 0, "monoid": {"family": "matrix", "k": %d}, "edges": []}'
+    assert parse_diagram(text % 256).monoid == matrix_monoid(256)
+    for k in (257, 10**12):
+        with pytest.raises(DiagramFormatError) as excinfo:
+            parse_diagram(text % k)
+        assert str(excinfo.value) == f"monoid.k: expected an integer <= 256, got {k}"
+
+
 def test_round_trip_fixtures():
     graph = triploid(TriploidParams(3, 2, 4, 2, 16))
     d = Diagram(graph, FREE, [word(e) for e in range(graph.edge_count)])

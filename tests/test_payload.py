@@ -1,0 +1,276 @@
+"""The payload kernels ``verify`` and ``oracle_verify`` run the built-in
+families on, against the boxed ``op``/``eq`` and against the boxed path."""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from diagcheck import (
+    ADDITIVE,
+    FREE,
+    Diagram,
+    OrientedGraph,
+    matrix,
+    matrix_monoid,
+    number,
+    oracle_verify,
+    verify,
+    word,
+)
+from diagcheck.diagram import _payload_diagram
+from diagcheck.monoid import FreeMonoid, _add_pairs, _mul_rows
+
+from .conftest import boxed_diagram
+
+MATRIX_KS = (1, 2, 3, 4, 8)
+FAMILIES = ("free", "additive") + tuple(f"mat{k}" for k in MATRIX_KS)
+KINDS = ("potential", "twin", "reduction")
+
+
+def _monoid(family):
+    if family == "free":
+        return FREE
+    if family == "additive":
+        return ADDITIVE
+    return matrix_monoid(int(family[3:]))
+
+
+def _random_value(rng, family):
+    if family == "free":
+        return word(*(rng.randrange(3) for _ in range(rng.randint(0, 3))))
+    if family == "additive":
+        return number(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+    k = int(family[3:])
+    # Mostly-zero and dense rows both occur, so ``_mul_rows`` takes both branches.
+    density = rng.choice((0.2, 0.5, 1.0))
+    return matrix(tuple(
+        tuple(rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(k)) for _ in range(k)
+    ))
+
+
+def _unimodular_pair(rng, k):
+    """A k x k integer matrix with an integer inverse, and that inverse: a
+    sign diagonal times a few shears."""
+    mon = matrix_monoid(k)
+    signs = matrix(tuple(tuple(rng.choice((1, -1)) if i == j else 0 for j in range(k)) for i in range(k)))
+    p = pinv = signs
+    for _ in range(rng.randint(0, 3) if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        shear = [[int(r == s) for s in range(k)] for r in range(k)]
+        unshear = [row[:] for row in shear]
+        shear[i][j], unshear[i][j] = c, -c
+        p = mon.op(p, matrix(shear))
+        pinv = mon.op(matrix(unshear), pinv)
+    return p, pinv
+
+
+def _potential_labels(rng, family, edges, n):
+    """Labels l(u -> v) with every path's product fixed by its endpoints; for
+    free words only the edges ``u -> v`` whose potential prefixes v's keep."""
+    mon = _monoid(family)
+    if family == "free":
+        base = [rng.randrange(3) for _ in range(4)]
+        length = [rng.randint(0, 4) for _ in range(n)]
+        edges = [(o, t) for o, t in edges if length[o] <= length[t]]
+        return edges, [word(*base[length[o]:length[t]]) for o, t in edges]
+    if family == "additive":
+        phi = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        return edges, [number(phi[t] - phi[o]) for o, t in edges]
+    pairs = [_unimodular_pair(rng, mon.k) for _ in range(n)]
+    return edges, [mon.op(pairs[o][1], pairs[t][0]) for o, t in edges]
+
+
+def _differential_diagram(seed, family, kind, max_vertices, max_edges):
+    """A seeded diagram of one kind: a commuting potential labeling, the same
+    with one random label replaced (a planted twin), or the same with a loop
+    or a parallel edge made to disagree."""
+    rng = random.Random(f"{seed}/{family}/{kind}")
+    n = rng.randint(1, max_vertices)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, max_edges))]
+    if kind == "reduction":
+        origin = rng.randrange(n)
+        # A loop, or a parallel copy of an edge; either is checked before the DFS.
+        edges.append((origin, origin) if rng.random() < 0.5 or not edges else rng.choice(edges))
+    edges, labels = _potential_labels(rng, family, edges, n)
+    if labels and kind == "twin":
+        labels[rng.randrange(len(labels))] = _random_value(rng, family)
+    if labels and kind == "reduction":
+        labels[-1] = _random_value(rng, family)
+    return Diagram(OrientedGraph(n, edges), _monoid(family), labels)
+
+
+def _without_trace(report_json):
+    doc = json.loads(report_json)
+    del doc["trace"]
+    return doc
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_payload_path_reports_match_the_boxed_path(family, kind):
+    verdicts = set()
+    for seed in range(40):
+        d = _differential_diagram(seed, family, kind, max_vertices=8, max_edges=20)
+        assert _payload_diagram(d).monoid is d.monoid._kernel
+        report = verify(d)
+        boxed, counting = boxed_diagram(d)
+        boxed_report = verify(boxed)
+        assert report.to_json() == boxed_report.to_json()
+        assert counting.op_calls == report.mult_total
+        assert counting.eq_calls == report.eq_total
+        assert _without_trace(verify(d, trace=True).to_json()) == _without_trace(report.to_json())
+        verdicts.add(report.commutative)
+    if kind == "potential":
+        assert verdicts == {True}
+    else:
+        assert False in verdicts
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_payload_path_oracle_matches_the_boxed_path(family, kind):
+    for seed in range(25):
+        d = _differential_diagram(seed, family, kind, max_vertices=4, max_edges=6)
+        n = d.graph.vertex_count
+        verdict = oracle_verify(d, n)
+        assert verdict == oracle_verify(boxed_diagram(d)[0], n) == verify(d).commutative
+
+
+# ---------------------------------------------------------------------------
+# Each kernel against the boxed operation
+
+
+def test_free_kernel_matches_the_boxed_op():
+    kernel = FREE._kernel
+    rng = random.Random(3)
+    words = [word()] + [_random_value(rng, "free") for _ in range(20)]
+    assert kernel.identity() == FREE.identity().letters
+    for a in words:
+        for b in words:
+            assert kernel.op(kernel.payload(a), kernel.payload(b)) == FREE.op(a, b).letters
+            assert kernel.eq(kernel.payload(a), kernel.payload(b)) is FREE.eq(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Fraction(1, 2), Fraction(1, 3)),  # coprime denominators
+        (Fraction(1, 6), Fraction(1, 4)),  # a common factor the sum keeps
+        (Fraction(1, 6), Fraction(1, 6)),  # a common factor the sum cancels
+        (Fraction(5, 12), Fraction(-5, 12)),  # a zero sum
+        (Fraction(-7, 3), 4),
+    ],
+    ids=["gcd-1", "gcd-kept", "gcd-cancels", "zero", "integer"],
+)
+def test_add_pairs_matches_fractions_and_the_boxed_op(a, b):
+    x, y = number(a), number(b)
+    total = _add_pairs(ADDITIVE._kernel.payload(x), ADDITIVE._kernel.payload(y))
+    assert total == (Fraction(a + b).numerator, Fraction(a + b).denominator)
+    assert total == ADDITIVE._kernel.payload(ADDITIVE.op(x, y))
+
+
+def test_additive_kernel_identity_and_eq():
+    kernel = ADDITIVE._kernel
+    assert kernel.identity() == kernel.payload(ADDITIVE.identity()) == (0, 1)
+    assert kernel.eq(kernel.payload(number(Fraction(2, 4))), kernel.payload(number(Fraction(1, 2))))
+    assert not kernel.eq(kernel.payload(number(Fraction(1, 2))), kernel.payload(number(Fraction(-1, 2))))
+
+
+def _naive_product(a, b):
+    k = len(a)
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)) for i in range(k))
+
+
+def test_mul_rows_takes_sparse_and_dense_rows():
+    # Row 0 is dense, row 1 has one entry of 1 (a shared row of b), row 2
+    # one entry of 3, row 3 is zero.
+    a = ((1, 2, 3, 4), (0, 0, 1, 0), (0, 3, 0, 0), (0, 0, 0, 0))
+    b = ((1, 0, 2, 0), (0, -1, 0, 5), (7, 0, 0, 1), (2, 2, 2, 2))
+    assert _mul_rows(a, b) == _naive_product(a, b)
+    assert _mul_rows(a, b)[1] is b[2]
+
+
+@pytest.mark.parametrize("k", MATRIX_KS)
+def test_matrix_kernel_matches_the_boxed_op(k):
+    mon = matrix_monoid(k)
+    kernel = mon._kernel
+    rng = random.Random(k)
+    values = [mon.identity()] + [_random_value(rng, f"mat{k}") for _ in range(12)]
+    assert kernel.identity() == mon.identity().entries
+    for a in values:
+        for b in values:
+            product = kernel.op(kernel.payload(a), kernel.payload(b))
+            assert product == mon.op(a, b).entries == _naive_product(a.entries, b.entries)
+            assert kernel.eq(kernel.payload(a), kernel.payload(b)) is mon.eq(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Monoids that must keep the boxed path
+
+
+class _RecordingFree(FreeMonoid):
+    """A ``FreeMonoid`` subclass that overrides ``op`` and ``eq`` to count them."""
+
+    def __init__(self):
+        object.__setattr__(self, "calls", {"op": 0, "eq": 0})
+
+    def op(self, a, b):
+        self.calls["op"] += 1
+        return super().op(a, b)
+
+    def eq(self, a, b):
+        self.calls["eq"] += 1
+        return super().eq(a, b)
+
+
+class _ForwardingMonoid:
+    """A wrapper that counts ``op``/``eq`` and forwards every other attribute
+    to the monoid it wraps, ``_kernel`` included."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"op": 0, "eq": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def identity(self):
+        return self.inner.identity()
+
+    def op(self, a, b):
+        self.calls["op"] += 1
+        return self.inner.op(a, b)
+
+    def eq(self, a, b):
+        self.calls["eq"] += 1
+        return self.inner.eq(a, b)
+
+
+_DISPATCH_CASES = [
+    ("subclass", "free", lambda mon: _RecordingFree()),
+    ("wrapper", "free", _ForwardingMonoid),
+    ("wrapper", "additive", _ForwardingMonoid),
+    ("wrapper", "mat2", _ForwardingMonoid),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("wrap, family, make", _DISPATCH_CASES, ids=[f"{w}-{f}" for w, f, _ in _DISPATCH_CASES])
+def test_subclasses_and_wrappers_keep_the_boxed_path(wrap, family, make, kind):
+    for seed in range(15):
+        plain = _differential_diagram(seed, family, kind, max_vertices=5, max_edges=10)
+        monoid = make(plain.monoid)
+        d = Diagram(plain.graph, monoid, plain.labels)
+        assert _payload_diagram(d) is d
+        report = verify(d)
+        assert monoid.calls == {"op": report.mult_total, "eq": report.eq_total}
+        assert report.to_json() == verify(plain).to_json()
+        monoid.calls.update(op=0, eq=0)
+        n = d.graph.vertex_count
+        assert oracle_verify(d, n) == oracle_verify(plain, n)
+        assert monoid.calls["op"] + monoid.calls["eq"] > 0 or d.graph.edge_count == 0

@@ -186,6 +186,8 @@ def _ref_parse_monoid(obj):
     if family == "matrix":
         _ref_expect_keys(obj, ("family", "k"), "monoid")
         k = _ref_expect_int(obj["k"], "monoid.k", minimum=1)
+        if k > 256:
+            _ref_fail("monoid.k", f"expected an integer <= 256, got {k}")
         return matrix_monoid(k)
     _ref_expect_keys(obj, ("family",), "monoid")
     return FREE if family == "free" else ADDITIVE
@@ -333,6 +335,7 @@ def _free_doc(*labels):
 @example(_matrix_doc([[1, [0]], [0, 1]]))
 @example(_matrix_doc([[1, "x"], [0, 1, 2]]))
 @example(_matrix_doc([[1, 0], [0, 1], [0, 0]]))
+@example(json.dumps({"vertices": 0, "monoid": {"family": "matrix", "k": 257}, "edges": []}))
 @example(_free_doc([0, 1], [2, -1]))
 @example(_free_doc([0, [1]]))
 @example(_free_doc([0, False]))
