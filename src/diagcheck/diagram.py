@@ -84,24 +84,31 @@ class Diagram:
 _PAYLOAD_FAMILIES = (FreeMonoid, AdditiveMonoid, MatrixMonoid)
 
 
+def _relabeled(diagram: Diagram, monoid, labels) -> Diagram:
+    """``diagram``'s graph under ``monoid`` and ``labels``, built without the
+    ``owns`` check: only for labels derived from ``diagram``'s own, which were
+    checked when it was built."""
+    relabeled = object.__new__(Diagram)
+    object.__setattr__(relabeled, "graph", diagram.graph)
+    object.__setattr__(relabeled, "monoid", monoid)
+    object.__setattr__(relabeled, "labels", labels)
+    return relabeled
+
+
 def _payload_diagram(diagram: Diagram) -> Diagram:
     """``diagram`` over its family's payload kernel, with payload labels, when
     its monoid is exactly one of the three built-in families; ``diagram``
-    itself otherwise.  Its labels were checked when it was built, and each
-    family is closed under its operation, so nothing is checked again."""
+    itself otherwise.  Each family is closed under its operation, so nothing
+    is checked again."""
     monoid = diagram.monoid
     if type(monoid) not in _PAYLOAD_FAMILIES:
         return diagram
     kernel = monoid._kernel
-    payloads = object.__new__(Diagram)
-    object.__setattr__(payloads, "graph", diagram.graph)
-    object.__setattr__(payloads, "monoid", kernel)
     # A list: ``tuple(map(...))`` builds its tuple by resizing a 10-slot one,
     # and CPython keeps each freed tuple of fewer than 20 slots on a free list
     # for its size, so one more would stay allocated per call, up to 2,000
     # per edge count.
-    object.__setattr__(payloads, "labels", list(map(kernel.payload, diagram.labels)))
-    return payloads
+    return _relabeled(diagram, kernel, list(map(kernel.payload, diagram.labels)))
 
 
 def label_of_sequence(diagram: Diagram, edge_ids):
@@ -347,7 +354,11 @@ def serialize_diagram(diagram: Diagram) -> str:
     descriptor = getattr(diagram.monoid, "descriptor", None)
     if descriptor is None:
         raise TypeError(f"cannot serialize monoid of type {type(diagram.monoid).__name__}")
-    monoid = json.dumps(descriptor(), indent=2).replace("\n", _NEWLINE[1])
+    doc = descriptor()
+    # Every document written must parse back, so a matrix k has the parser's cap.
+    if doc.get("family") == "matrix" and doc["k"] > _MAX_MATRIX_K:
+        raise ValueError(f"matrix dimension {doc['k']} is above _MAX_MATRIX_K = {_MAX_MATRIX_K}")
+    monoid = json.dumps(doc, indent=2).replace("\n", _NEWLINE[1])
     edges = [
         _DIAGRAM_EDGE % (int.__repr__(origin), int.__repr__(tail), _format_label(label))
         for (origin, tail), label in zip(graph.edges, diagram.labels)

@@ -6,20 +6,20 @@ integer matrices under multiplication.  All arithmetic is exact (Python
 ints; rationals are reduced integer pairs), so equality is always decidable
 and no tolerance parameter exists anywhere in the package.
 
-Values are immutable and know their monoid instance; instances are small
-descriptor objects exposing ``identity``, ``op`` and ``eq``, which check their
-operands on every call.  Because values are immutable, ``op`` may return one
-of its operands: ``FREE.op`` returns the other word when one word is empty.
-Each matrix instance picks its product kernel once, by k: unrolled formulas
-for k = 2 and 3, and for any other k a row-by-row product that skips the zero
-entries of mostly-zero rows.
-
 Each family's arithmetic is written once, as a kernel on the raw payload a
 value holds (a free word's ``letters``, an additive number's ``(num, den)``
-pair, a matrix's ``entries``).  The boxed ``op``/``eq`` check their operands
-and call it; ``_kernel`` holds the same arithmetic as an unchecked monoid on
-payloads, which ``verify`` and ``oracle_verify`` run on once a ``Diagram`` has
-checked every label.
+pair, a matrix's ``entries``): ``_kernel`` is the family's monoid on
+payloads, with no operand check.  ``verify``, ``oracle_verify`` and
+``validate_witness`` run on it once a ``Diagram`` has checked every label.
+Values are immutable and know their monoid instance; instances are small
+descriptor objects exposing ``identity``, ``op`` and ``eq``, and the one
+``op``/``eq`` they share is a checked adapter over the kernel: it checks both
+operands, runs the kernel on their payloads and boxes the result.  Because
+values are immutable, ``op`` may return one of its operands: ``FREE.op``
+returns the other word when one word is empty.  Each matrix instance picks
+its product kernel once, by k: unrolled formulas for k = 2 and 3, and for
+any other k a row-by-row product that skips the zero entries of mostly-zero
+rows.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ def _int_matrix(entries: tuple) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # Payload kernels.  ``_Kernel`` is a family's monoid on raw payloads, with no
-# operand check: ``payload`` maps a checked value to its payload.
+# operand check: ``payload`` maps a checked value to its payload, and ``box``
+# maps a product back to a value through the trusted builder.
 
 
 class _Kernel(NamedTuple):
@@ -163,6 +164,7 @@ class _Kernel(NamedTuple):
     op: Callable
     eq: Callable
     payload: Callable
+    box: Callable
 
     def identity(self):
         return self.one
@@ -235,12 +237,13 @@ _MUL_KERNELS = {2: _mul_2, 3: _mul_3}
 # ---------------------------------------------------------------------------
 # Instance descriptors
 #
-# ``op``/``eq`` accept operands of exactly their value class inline and call
-# ``_check`` otherwise, which raises the mismatch error for a foreign operand
-# and accepts a subclass; then they run the family's kernel on the payloads,
-# and products go through the trusted builders.  Each instance builds its
-# identity once; values are immutable, so every caller may share it, and a
-# product may be one of its operands.
+# ``op``/``eq`` are defined once, on ``_Monoid``: ``_check`` raises the
+# mismatch error for a foreign operand and accepts a subclass, then the
+# family's kernel runs on the payloads and ``op`` boxes the product.  Each
+# instance builds its identity once; values are immutable, so every caller
+# may share it, and a product may be one of its operands: when the kernel
+# returns an operand's own payload and that operand is exactly of the value
+# class, ``op`` returns the operand (a subclass operand is never returned).
 
 
 class _Monoid:
@@ -262,6 +265,23 @@ class _Monoid:
             if not self.owns(value):
                 raise MonoidMismatchError(f"expected {self._noun}, got {type(value).__name__}")
 
+    def op(self, a, b):
+        self._check(a, b)
+        kernel = self._kernel
+        pa = kernel.payload(a)
+        pb = kernel.payload(b)
+        product = kernel.op(pa, pb)
+        if product is pa and type(a) is self._value_class:
+            return a
+        if product is pb and type(b) is self._value_class:
+            return b
+        return kernel.box(product)
+
+    def eq(self, a, b) -> bool:
+        self._check(a, b)
+        kernel = self._kernel
+        return kernel.eq(kernel.payload(a), kernel.payload(b))
+
 
 @dataclass(frozen=True)
 class FreeMonoid(_Monoid):
@@ -272,24 +292,7 @@ class FreeMonoid(_Monoid):
     _value_class = FreeWord
     _noun = "a free word"
     # Tuple concatenation returns the other tuple itself when one is empty.
-    _kernel = _Kernel((), add, operator.eq, attrgetter("letters"))
-
-    def op(self, a: FreeWord, b: FreeWord) -> FreeWord:
-        if not (type(a) is FreeWord and type(b) is FreeWord):
-            self._check(a, b)
-            return _free_word(a.letters + b.letters)
-        # The word holding a shared operand tuple is then the product.
-        letters = a.letters + b.letters
-        if letters is a.letters:
-            return a
-        if letters is b.letters:
-            return b
-        return _free_word(letters)
-
-    def eq(self, a: FreeWord, b: FreeWord) -> bool:
-        if not (type(a) is FreeWord and type(b) is FreeWord):
-            self._check(a, b)
-        return a.letters == b.letters
+    _kernel = _Kernel((), add, operator.eq, attrgetter("letters"), _free_word)
 
 
 @dataclass(frozen=True)
@@ -300,18 +303,7 @@ class AdditiveMonoid(_Monoid):
     _one = AdditiveNumber(0)
     _value_class = AdditiveNumber
     _noun = "an additive number"
-    _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"))
-
-    def op(self, a: AdditiveNumber, b: AdditiveNumber) -> AdditiveNumber:
-        if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
-            self._check(a, b)
-        num, den = _add_pairs((a.num, a.den), (b.num, b.den))
-        return _additive(num, den)
-
-    def eq(self, a: AdditiveNumber, b: AdditiveNumber) -> bool:
-        if not (type(a) is AdditiveNumber and type(b) is AdditiveNumber):
-            self._check(a, b)
-        return a.num == b.num and a.den == b.den
+    _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"), lambda p: _additive(*p))
 
 
 @dataclass(frozen=True)
@@ -320,6 +312,7 @@ class MatrixMonoid(_Monoid):
 
     k: int
     family = "matrix"
+    _value_class = IntMatrix
 
     def __post_init__(self):
         k = self.k
@@ -327,25 +320,8 @@ class MatrixMonoid(_Monoid):
         product = _MUL_KERNELS.get(k, _mul_rows)
         object.__setattr__(self, "_one", one)
         object.__setattr__(self, "_mul", product)
-        object.__setattr__(self, "_kernel", _Kernel(one.entries, product, operator.eq, attrgetter("entries")))
-
-    def op(self, a: IntMatrix, b: IntMatrix) -> IntMatrix:
-        k = self.k
-        if not (
-            type(a) is IntMatrix and type(b) is IntMatrix
-            and len(a.entries) == k and len(b.entries) == k
-        ):
-            self._check(a, b)
-        return _int_matrix(self._mul(a.entries, b.entries))
-
-    def eq(self, a: IntMatrix, b: IntMatrix) -> bool:
-        k = self.k
-        if not (
-            type(a) is IntMatrix and type(b) is IntMatrix
-            and len(a.entries) == k and len(b.entries) == k
-        ):
-            self._check(a, b)
-        return a.entries == b.entries
+        kernel = _Kernel(one.entries, product, operator.eq, attrgetter("entries"), _int_matrix)
+        object.__setattr__(self, "_kernel", kernel)
 
     def owns(self, value) -> bool:
         return isinstance(value, IntMatrix) and value.k == self.k

@@ -96,8 +96,10 @@ def validate_witness(diagram: Diagram, witness) -> bool:
 
     Semantically wrong witnesses (a non-loop in NonIdentityLoop, mismatched
     path endpoints, equal labels) return False; structurally malformed ones
-    (unknown type, out-of-range edge ids) raise.
+    (unknown type, out-of-range edge ids) raise.  A built-in family runs on
+    its payload kernel, as in ``verify``.
     """
+    diagram = _payload_diagram(diagram)
     graph = diagram.graph
     mon = diagram.monoid
     if isinstance(witness, NonIdentityLoop):

@@ -12,16 +12,16 @@ The pass runs three phases over the reduction the graph lists once
 The phases touch labels only through ``diagram.monoid``'s
 ``identity``/``op``/``eq``; every ``op`` and ``eq`` call is counted, and the
 counters are the report.  The pass stops at the first violation and returns a
-witness for it.  When the monoid is exactly one of the three built-in
-families, ``verify`` hands the phases the diagram over that family's payload
-kernel (``diagram._payload_diagram``): the same arithmetic on the raw
-payloads, with no per-call operand check or value object.  Any other monoid,
-a subclass or a wrapper included, is called as it is.  Witnesses hold only
-edge ids, so no payload leaves the pass.
+witness for it.  Every run starts from ``diagram._payload_diagram``: when the
+monoid is exactly one of the three built-in families, the phases get the
+diagram over that family's payload kernel, with no per-call operand check or
+value object.  Any other monoid, a subclass or a wrapper included, is called
+as it is.  Witnesses hold only edge ids, so no payload leaves the pass.
 
 A relation trace is the same run over M x the free monoid on edge ids: edge
-e is labeled (label, (e,)), and ``_TracedMonoid`` records the edge-id words of
-the operands of every ``op`` and ``eq``, so the phases carry no trace code.
+e is labeled (label, (e,)), and ``_TracedMonoid``, wrapped around the monoid
+the run would use untraced, records the edge-id words of the operands of
+every ``op`` and ``eq``, so the phases carry no trace code.
 
 ``VerificationReport.to_json`` writes ``json.dumps(doc, indent=2)`` of the
 report as a dict ``doc`` directly, one template per fixed shape, so a report
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, _int_list, _json_list, _payload_diagram
+from .diagram import Diagram, _int_list, _json_list, _payload_diagram, _relabeled
 from .graph import Path
 
 
@@ -163,9 +163,6 @@ class _TracedMonoid:
     def identity(self):
         return (self.inner.identity(), ())
 
-    def owns(self, value) -> bool:
-        return self.inner.owns(value[0])
-
     def op(self, a, b):
         self.trace.products.append((a[1], b[1]))
         return (self.inner.op(a[0], b[0]), a[1] + b[1])
@@ -272,11 +269,10 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
     """
     relation_trace = RelationTrace() if trace else None
     counters = Counters()
+    diagram = _payload_diagram(diagram)
     if trace:
         traced = _TracedMonoid(diagram.monoid, relation_trace)
-        diagram = Diagram(diagram.graph, traced, [(label, (e,)) for e, label in enumerate(diagram.labels)])
-    else:
-        diagram = _payload_diagram(diagram)
+        diagram = _relabeled(diagram, traced, [(label, (e,)) for e, label in enumerate(diagram.labels)])
     witness = remove_loops(diagram, counters)
     if witness is None:
         witness = remove_multiple_edges(diagram, counters)

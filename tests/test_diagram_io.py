@@ -20,6 +20,7 @@ from diagcheck import (
     TriploidParams,
     build,
     eq,
+    identity_matrix,
     label_of_sequence,
     matrix,
     matrix_monoid,
@@ -266,6 +267,16 @@ class _IntegerSums:
 def test_serialize_refuses_labels_of_an_unknown_family():
     d = Diagram(build(1, [(0, 0)]), _IntegerSums(), [0])
     with pytest.raises(TypeError, match="cannot serialize label of type int"):
+        serialize_diagram(d)
+
+
+def test_serialize_refuses_a_matrix_dimension_the_parser_refuses():
+    # Every document the writer emits must parse back.
+    for k in (1, 256):
+        d = Diagram(build(1, [(0, 0)]), matrix_monoid(k), [identity_matrix(k)])
+        assert parse_diagram(serialize_diagram(d)) == d
+    d = Diagram(build(1, [(0, 0)]), matrix_monoid(257), [identity_matrix(257)])
+    with pytest.raises(ValueError, match="^matrix dimension 257 is above _MAX_MATRIX_K = 256$"):
         serialize_diagram(d)
 
 

@@ -18,11 +18,12 @@ from diagcheck import (
     matrix_monoid,
     number,
     oracle_verify,
+    validate_witness,
     verify,
     word,
 )
 from diagcheck.diagram import _payload_diagram
-from diagcheck.monoid import FreeMonoid, _add_pairs, _mul_rows
+from diagcheck.monoid import AdditiveMonoid, FreeMonoid, MatrixMonoid, _add_pairs, _mul_rows
 
 from .conftest import boxed_diagram
 
@@ -123,7 +124,12 @@ def test_payload_path_reports_match_the_boxed_path(family, kind):
         assert report.to_json() == boxed_report.to_json()
         assert counting.op_calls == report.mult_total
         assert counting.eq_calls == report.eq_total
-        assert _without_trace(verify(d, trace=True).to_json()) == _without_trace(report.to_json())
+        traced_json = verify(d, trace=True).to_json()
+        assert _without_trace(traced_json) == _without_trace(report.to_json())
+        assert traced_json == verify(boxed_diagram(d)[0], trace=True).to_json()
+        if not report.commutative:
+            assert validate_witness(d, report.witness) is True
+            assert validate_witness(boxed, report.witness) is True
         verdicts.add(report.commutative)
     if kind == "potential":
         assert verdicts == {True}
@@ -139,6 +145,29 @@ def test_payload_path_oracle_matches_the_boxed_path(family, kind):
         n = d.graph.vertex_count
         verdict = oracle_verify(d, n)
         assert verdict == oracle_verify(boxed_diagram(d)[0], n) == verify(d).commutative
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_built_in_families_run_every_check_on_the_kernel(family, monkeypatch):
+    # The expected results come from the boxed path, before it is disabled.
+    cases = []
+    for seed in range(10):
+        for kind in KINDS:
+            d = _differential_diagram(seed, family, kind, max_vertices=4, max_edges=6)
+            boxed = boxed_diagram(d)[0]
+            cases.append((d, verify(boxed).witness, verify(boxed, trace=True).to_json()))
+
+    def boxed_call(self, a, b):
+        raise AssertionError("boxed op/eq called")
+
+    for cls in (FreeMonoid, AdditiveMonoid, MatrixMonoid):
+        monkeypatch.setattr(cls, "op", boxed_call)
+        monkeypatch.setattr(cls, "eq", boxed_call)
+    for d, witness, traced_json in cases:
+        assert verify(d, trace=True).to_json() == traced_json
+        assert oracle_verify(d, d.graph.vertex_count) is (witness is None)
+        if witness is not None:
+            assert validate_witness(d, witness) is True
 
 
 # ---------------------------------------------------------------------------

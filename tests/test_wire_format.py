@@ -8,6 +8,7 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -344,6 +345,15 @@ def _free_doc(*labels):
 @example(json.dumps({"vertices": 2, "monoid": {"family": "additive"}, "edges": [{"origin": 0, "tail": 1, "label": "6/-4"}]}))
 def test_parse_diagram_matches_the_reference(text):
     assert _outcome(parse_diagram, text) == _outcome(_ref_parse_diagram, text)
+
+
+def test_non_utf8_bytes_are_not_reported_as_an_overlong_integer():
+    # ``UnicodeDecodeError`` is a ``ValueError``, as is the int-string limit's
+    # error, which the parser reports as an over-long integer.
+    for parse in (parse_diagram, parse_graph):
+        with pytest.raises(ValueError) as excinfo:
+            parse(b'{"vertices": 1, "edges": [], "x": "\xff"}')
+        assert "digits" not in str(excinfo.value)
 
 
 @given(_mutated_documents(of_graph=True))
