@@ -69,12 +69,7 @@ from .monoid import (
     word,
     zero_matrix,
 )
-from .oracle import (
-    WalkEnumeration,
-    enumerate_walks,
-    oracle_verify,
-    validate_witness,
-)
+from .oracle import oracle_verify, validate_witness
 from .verifier import (
     Counters,
     MultiEdgeMismatch,

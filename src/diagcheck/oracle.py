@@ -1,131 +1,105 @@
 """Brute-force ground truth and witness validation.
 
-The oracle enumerates every walk up to a length bound, groups walks by their
-endpoint pair, and demands equal labels within each group.  With the bound
-set to the vertex count it is exact: any longer walk contains a contiguous
-simple cycle of at most |V| edges, which the comparison against the empty
-walk at its base vertex already forces to the identity, so the walk's label
-collapses to that of a walk within the bound.  The oracle is meant for small
-instances and refuses (rather than truncates) work past its budget.
+The oracle enumerates every walk up to a length bound and demands that all
+walks with the same endpoints have equal labels.  With the bound set to the
+vertex count it is exact: any longer walk contains a contiguous simple cycle
+of at most |V| edges, which the comparison against the empty walk at its base
+vertex already forces to the identity, so the walk's label collapses to that
+of a walk within the bound.  The oracle is meant for small instances and
+refuses (rather than truncates) work past its budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import Diagram, _payload_diagram, label_of_sequence
 from .errors import BudgetExceededError
-from .graph import OrientedGraph, is_valid_path, require_edge
+from .graph import Path, is_valid_path, require_edge
 from .verifier import MultiEdgeMismatch, NonIdentityLoop, PathMismatch
 
 DEFAULT_WALK_BUDGET = 10**6
 
 
-@dataclass
-class WalkEnumeration:
-    """All walks of length at most the bound, grouped by (origin, tail).
+def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> bool:
+    """True iff all same-endpoint walks up to the bound have equal labels.
 
-    Each group lists edge-id tuples in depth-first discovery order; the empty
-    walk at vertex v appears first in group (v, v).
+    Exact whenever length_bound >= |V|.  From each start vertex in turn, a
+    depth-first search builds every walk's label incrementally (one product
+    per extension) and compares it with the first walk that reached the same
+    vertex.  Every walk counts against ``budget``, the empty one at each start
+    included; past it the call raises ``BudgetExceededError``.  A built-in
+    family runs on its payload kernel, as in ``verify``.
     """
-
-    length_bound: int
-    groups: dict
-
-    @property
-    def walk_count(self) -> int:
-        return sum(len(walks) for walks in self.groups.values())
-
-
-def _walks(graph: OrientedGraph, length_bound: int, budget: int, empty, op, labels):
-    """Every walk up to the length bound, depth-first from each start vertex
-    in turn, as ((start, end), label): ``empty()`` once per start, then one
-    ``op(label, labels[e])`` per extension.  Raises past ``budget`` walks."""
     if length_bound < 0:
         raise ValueError("length bound must be non-negative")
+    diagram = _payload_diagram(diagram)
+    graph = diagram.graph
+    labels = diagram.labels
+    mon = diagram.monoid
+    op = mon.op
+    eq = mon.eq
+    adjacency = graph.adjacency
     tails = graph.tails
+    # ``first[v]`` is the label of the first walk from the current start to v,
+    # valid only while ``reached[v]`` is that start, so one pair serves all.
+    reached = [-1] * graph.vertex_count
+    first = [None] * graph.vertex_count
     count = 0
     for start in range(graph.vertex_count):
-        stack = [(0, start, empty())]
+        stack = [(0, start, mon.identity())]
         while stack:
             length, at, value = stack.pop()
             count += 1
             if count > budget:
                 raise BudgetExceededError(f"walk budget of {budget} exceeded")
-            yield (start, at), value
+            if reached[at] == start:
+                if not eq(value, first[at]):
+                    return False
+            else:
+                reached[at] = start
+                first[at] = value
             if length < length_bound:
-                for e in reversed(graph.adjacency[at]):
+                for e in reversed(adjacency[at]):
                     stack.append((length + 1, tails[e], op(value, labels[e])))
-
-
-def enumerate_walks(graph: OrientedGraph, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> WalkEnumeration:
-    """Complete, duplicate-free walk enumeration up to the length bound.
-
-    A walk's edge-id tuple is its label in the free monoid on edge ids.
-    """
-    groups: dict = {}
-    edge_words = [(e,) for e in range(graph.edge_count)]
-    for key, edges in _walks(graph, length_bound, budget, tuple, tuple.__add__, edge_words):
-        groups.setdefault(key, []).append(edges)
-    return WalkEnumeration(length_bound, groups)
-
-
-def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> bool:
-    """True iff all same-endpoint walks up to the bound have equal labels.
-
-    Exact whenever length_bound >= |V|.  Labels are built incrementally (one
-    product per walk extension) and each walk is compared against the first
-    one seen for its endpoint pair.  A built-in family runs on its payload
-    kernel, as in ``verify``.
-    """
-    diagram = _payload_diagram(diagram)
-    mon = diagram.monoid
-    eq = mon.eq
-    reference: dict = {}
-    for key, value in _walks(diagram.graph, length_bound, budget, mon.identity, mon.op, diagram.labels):
-        if key in reference:
-            if not eq(value, reference[key]):
-                return False
-        else:
-            reference[key] = value
     return True
 
 
 def validate_witness(diagram: Diagram, witness) -> bool:
     """Re-evaluate a witness on the original diagram.
 
-    Semantically wrong witnesses (a non-loop in NonIdentityLoop, mismatched
-    path endpoints, equal labels) return False; structurally malformed ones
-    (unknown type, out-of-range edge ids) raise.  A built-in family runs on
-    its payload kernel, as in ``verify``.
+    Every witness is read as two paths: a ``NonIdentityLoop`` as its edge
+    against the empty path at the edge's origin, a ``MultiEdgeMismatch`` as
+    its edge against ``kept`` over the edge's endpoints.  It holds when both
+    paths are valid, share their endpoints and have different labels.
+    Semantically wrong witnesses (a non-loop in NonIdentityLoop, an edge
+    paired with itself or a loop in MultiEdgeMismatch, mismatched endpoints,
+    equal labels) return False; structurally malformed ones (unknown type,
+    out-of-range edge ids) raise.  A built-in family runs on its payload
+    kernel, as in ``verify``.
     """
     diagram = _payload_diagram(diagram)
     graph = diagram.graph
-    mon = diagram.monoid
     if isinstance(witness, NonIdentityLoop):
-        require_edge(graph, witness.edge)
-        if not graph.is_loop(witness.edge):
-            return False
-        return not mon.eq(diagram.labels[witness.edge], mon.identity())
-    if isinstance(witness, MultiEdgeMismatch):
-        require_edge(graph, witness.edge)
-        require_edge(graph, witness.kept)
+        e = witness.edge
+        require_edge(graph, e)
+        origin = graph.origin(e)
+        path1, path2 = Path((e,), origin, origin), Path((), origin, origin)
+    elif isinstance(witness, MultiEdgeMismatch):
         e, kept = witness.edge, witness.kept
+        require_edge(graph, e)
+        require_edge(graph, kept)
         if e == kept or graph.is_loop(e):
             return False
-        if graph.origin(e) != graph.origin(kept) or graph.tail(e) != graph.tail(kept):
-            return False
-        return not mon.eq(diagram.labels[e], diagram.labels[kept])
-    if isinstance(witness, PathMismatch):
-        for path in (witness.path1, witness.path2):
+        origin, tail = graph.edges[e]
+        path1, path2 = Path((e,), origin, tail), Path((kept,), origin, tail)
+    elif isinstance(witness, PathMismatch):
+        path1, path2 = witness.path1, witness.path2
+        for path in (path1, path2):
             for e in path.edges:
                 require_edge(graph, e)
-        if not is_valid_path(graph, witness.path1) or not is_valid_path(graph, witness.path2):
-            return False
-        if witness.path1.origin != witness.path2.origin or witness.path1.tail != witness.path2.tail:
-            return False
-        return not mon.eq(
-            label_of_sequence(diagram, witness.path1.edges),
-            label_of_sequence(diagram, witness.path2.edges),
-        )
-    raise TypeError(f"not a witness: {type(witness).__name__}")
+    else:
+        raise TypeError(f"not a witness: {type(witness).__name__}")
+    if not is_valid_path(graph, path1) or not is_valid_path(graph, path2):
+        return False
+    if path1.origin != path2.origin or path1.tail != path2.tail:
+        return False
+    return not diagram.monoid.eq(label_of_sequence(diagram, path1.edges), label_of_sequence(diagram, path2.edges))

@@ -7,7 +7,9 @@ The pass runs three phases over the reduction the graph lists once
 2. every parallel edge is checked against the first edge of its bundle;
 3. from every vertex in ascending id order, a depth-first search on the
    reduced adjacency propagates a product m(v) along tree edges and checks
-   every non-tree edge, with visited marks and m-values reset per root.
+   every non-tree edge, with visited marks and m-values reset per root; a
+   vertex without a reduced out-edge is skipped, as its search would do no
+   monoid operation.
 
 The phases touch labels only through ``diagram.monoid``'s
 ``identity``/``op``/``eq``; every ``op`` and ``eq`` call is counted, and the
@@ -225,6 +227,8 @@ def _dfs_all_roots(diagram: Diagram, counters: Counters):
     mults = eqs = 0
     try:
         for root in range(n):
+            if not adjacency[root]:
+                continue
             visited[root] = root
             m_value[root] = mon.identity()
             stack = [(root, iter(adjacency[root]))]

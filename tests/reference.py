@@ -9,14 +9,19 @@ forms through ``json.dumps``.
 Graph references: the reduction ``OrientedGraph`` lists, the structural
 predicates and the counters of a commuting run, each from its definition
 over ``graph.edges`` alone.
+
+Oracle references: every walk up to a length bound as an edge-id tuple,
+grouped by endpoints, and witness validation written per witness kind.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 from diagcheck import (
     AdditiveNumber,
+    BudgetExceededError,
     Counters,
     Diagram,
     FreeWord,
@@ -28,7 +33,12 @@ from diagcheck import (
     PathMismatch,
     RelationTrace,
     VerificationReport,
+    is_valid_path,
+    label_of_sequence,
 )
+from diagcheck.diagram import _payload_diagram
+from diagcheck.graph import require_edge
+from diagcheck.oracle import DEFAULT_WALK_BUDGET
 
 
 def _encode_label(label):
@@ -187,3 +197,84 @@ def predicted_counters(graph: OrientedGraph) -> Counters:
         counters.mult_dfs += reduced_edges
         counters.eq_dfs += reduced_edges - len(reached) + 1
     return counters
+
+
+# ---------------------------------------------------------------------------
+# Oracle references
+
+
+@dataclass
+class WalkEnumeration:
+    """All walks of length at most the bound, grouped by (origin, tail).
+
+    Each group lists edge-id tuples in depth-first discovery order; the empty
+    walk at vertex v appears first in group (v, v).
+    """
+
+    length_bound: int
+    groups: dict
+
+    @property
+    def walk_count(self) -> int:
+        return sum(len(walks) for walks in self.groups.values())
+
+
+def enumerate_walks(graph: OrientedGraph, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> WalkEnumeration:
+    """Every walk up to the length bound, depth-first from each start vertex
+    in turn, in the order ``oracle_verify`` visits them.  Raises past
+    ``budget`` walks, the empty ones included."""
+    if length_bound < 0:
+        raise ValueError("length bound must be non-negative")
+    groups: dict = {}
+    count = 0
+    for start in range(graph.vertex_count):
+        stack = [(start, ())]
+        while stack:
+            at, walk = stack.pop()
+            count += 1
+            if count > budget:
+                raise BudgetExceededError(f"walk budget of {budget} exceeded")
+            groups.setdefault((start, at), []).append(walk)
+            if len(walk) < length_bound:
+                for e in reversed(graph.adjacency[at]):
+                    stack.append((graph.tail(e), walk + (e,)))
+    return WalkEnumeration(length_bound, groups)
+
+
+def validate_witness(diagram: Diagram, witness) -> bool:
+    """Re-evaluate a witness on the original diagram, one branch per kind.
+
+    Semantically wrong witnesses (a non-loop in NonIdentityLoop, mismatched
+    path endpoints, equal labels) return False; structurally malformed ones
+    (unknown type, out-of-range edge ids) raise.
+    """
+    diagram = _payload_diagram(diagram)
+    graph = diagram.graph
+    mon = diagram.monoid
+    if isinstance(witness, NonIdentityLoop):
+        require_edge(graph, witness.edge)
+        if not graph.is_loop(witness.edge):
+            return False
+        return not mon.eq(diagram.labels[witness.edge], mon.identity())
+    if isinstance(witness, MultiEdgeMismatch):
+        require_edge(graph, witness.edge)
+        require_edge(graph, witness.kept)
+        e, kept = witness.edge, witness.kept
+        if e == kept or graph.is_loop(e):
+            return False
+        if graph.origin(e) != graph.origin(kept) or graph.tail(e) != graph.tail(kept):
+            return False
+        return not mon.eq(diagram.labels[e], diagram.labels[kept])
+    if isinstance(witness, PathMismatch):
+        for path in (witness.path1, witness.path2):
+            for e in path.edges:
+                require_edge(graph, e)
+        if not is_valid_path(graph, witness.path1) or not is_valid_path(graph, witness.path2):
+            return False
+        if witness.path1.origin != witness.path2.origin or witness.path1.tail != witness.path2.tail:
+            return False
+        return not mon.eq(
+            label_of_sequence(diagram, witness.path1.edges),
+            label_of_sequence(diagram, witness.path2.edges),
+        )
+    raise TypeError(f"not a witness: {type(witness).__name__}")

@@ -17,7 +17,7 @@ from diagcheck import (
     Rhomboid,
     TriploidParams,
     build,
-    enumerate_walks,
+    label_of_sequence,
     matrix,
     matrix_monoid,
     number,
@@ -30,7 +30,9 @@ from diagcheck import (
 )
 from diagcheck import FREE
 
-from .conftest import kirchhoff_square, random_diagram
+from . import reference
+from .conftest import boxed_diagram, kirchhoff_square, random_diagram
+from .reference import enumerate_walks
 
 
 def test_enumerate_single_edge():
@@ -166,3 +168,147 @@ def test_validate_multi_edge_mismatch_needs_equal_endpoints():
     assert not validate_witness(other_tail, MultiEdgeMismatch(edge=1, kept=0))
     other_origin = Diagram(build(3, [(0, 2), (1, 2)]), FREE, [word(0), word(1)])
     assert not validate_witness(other_origin, MultiEdgeMismatch(edge=1, kept=0))
+
+
+def _reference_verdict(d, length_bound):
+    """Whether every walk group has equal labels, and the walks themselves."""
+    walks = enumerate_walks(d.graph, length_bound)
+    eq = d.monoid.eq
+    for group in walks.groups.values():
+        labels = [label_of_sequence(d, walk) for walk in group]
+        if not all(eq(label, labels[0]) for label in labels[1:]):
+            return False, walks
+    return True, walks
+
+
+def _oracle_inputs(rng, count):
+    for _ in range(count):
+        d = random_diagram(rng)
+        yield d
+        yield boxed_diagram(d)[0]
+    gap = rhomboid_gap_labeling(build(4, [(0, 1), (1, 3), (0, 2), (2, 3)]), Rhomboid(0, 1, 2, 3))
+    for d in (kirchhoff_square(), gap):
+        yield d
+        yield boxed_diagram(d)[0]
+
+
+def test_oracle_matches_the_walk_reference():
+    diagrams = list(_oracle_inputs(random.Random(17), 150))
+    families = {type(d.monoid).__name__ for d in diagrams}
+    assert families == {"FreeMonoid", "AdditiveMonoid", "MatrixMonoid", "CountingMonoid"}
+    verdicts = {True: 0, False: 0}
+    for d in diagrams:
+        n = d.graph.vertex_count
+        for bound in (0, 1, n):
+            expected, walks = _reference_verdict(d, bound)
+            assert oracle_verify(d, bound) == expected, (d.graph.edges, bound)
+            verdicts[expected] += 1
+            if expected:
+                # The oracle counts exactly the reference's walks.
+                assert oracle_verify(d, bound, budget=walks.walk_count)
+                with pytest.raises(BudgetExceededError):
+                    oracle_verify(d, bound, budget=walks.walk_count - 1)
+    assert verdicts[True] > 300 and verdicts[False] > 100
+
+
+def test_oracle_operation_counts_match_the_walk_reference():
+    # On a commuting input: one identity per start, one product per non-empty
+    # walk and one check per walk after the first of its group.
+    rng = random.Random(18)
+    for plain in _oracle_inputs(rng, 100):
+        n = plain.graph.vertex_count
+        expected, walks = _reference_verdict(plain, n)
+        if not expected:
+            continue
+        d, counting = boxed_diagram(plain)
+        assert oracle_verify(d, n)
+        assert counting.identity_calls == n
+        assert counting.op_calls == walks.walk_count - n
+        assert counting.eq_calls == walks.walk_count - len(walks.groups)
+
+
+_BAD_IDS = (True, False, -1, None)
+
+
+def _random_edge_id(rng, m):
+    if m and rng.random() < 0.8:
+        return rng.randrange(m)
+    return rng.choice(_BAD_IDS + (m, m + 3))
+
+
+def _random_walk(rng, graph, start, length):
+    edges = []
+    at = start
+    for _ in range(length):
+        out = graph.adjacency[at]
+        if not out:
+            break
+        e = rng.choice(out)
+        edges.append(e)
+        at = graph.tail(e)
+    return edges, at
+
+
+def _random_path(rng, graph, start):
+    n = graph.vertex_count
+    edges, end = _random_walk(rng, graph, start, rng.randint(0, 3))
+    roll = rng.random()
+    if roll < 0.1 and edges:
+        edges[rng.randrange(len(edges))] = _random_edge_id(rng, graph.edge_count)
+    elif roll < 0.2:
+        edges.reverse()
+    elif roll < 0.3:
+        end = rng.choice((rng.randrange(n), -1, n, None, True))
+    elif roll < 0.35:
+        start = rng.choice((-1, n, None))
+    return Path(tuple(edges), start, end)
+
+
+def _random_witness(rng, d):
+    graph = d.graph
+    n, m = graph.vertex_count, graph.edge_count
+    kind = rng.randrange(4)
+    if kind == 0:
+        loops = graph.loops
+        if loops and rng.random() < 0.6:
+            return NonIdentityLoop(rng.choice(loops))
+        return NonIdentityLoop(_random_edge_id(rng, m))
+    if kind == 1:
+        if graph.duplicates and rng.random() < 0.5:
+            e, kept = rng.choice(graph.duplicates)
+            return MultiEdgeMismatch(*rng.choice(((e, kept), (kept, e), (e, e))))
+        return MultiEdgeMismatch(_random_edge_id(rng, m), _random_edge_id(rng, m))
+    if kind == 2:
+        start = rng.randrange(n)
+        return PathMismatch(_random_path(rng, graph, start), _random_path(rng, graph, start))
+    return rng.choice(("bogus", None, Path((), 0, 0), (0, 0), 3))
+
+
+def _outcome(check, d, witness):
+    try:
+        return check(d, witness)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_witness_matches_the_reference():
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(600):
+        plain = random_diagram(rng)
+        witnesses = [_random_witness(rng, plain) for _ in range(8)]
+        report = verify(plain)
+        if report.witness is not None:
+            witnesses.append(report.witness)
+        for witness in witnesses:
+            expected = _outcome(reference.validate_witness, plain, witness)
+            assert _outcome(validate_witness, plain, witness) == expected, (plain.graph.edges, witness)
+            ref_boxed, ref_counting = boxed_diagram(plain)
+            boxed, counting = boxed_diagram(plain)
+            assert _outcome(reference.validate_witness, ref_boxed, witness) == expected
+            assert _outcome(validate_witness, boxed, witness) == expected
+            calls = (counting.identity_calls, counting.op_calls, counting.eq_calls)
+            assert calls == (ref_counting.identity_calls, ref_counting.op_calls, ref_counting.eq_calls)
+            assert counting.eq_calls <= 1 and (expected is not True or counting.eq_calls == 1)
+            outcomes.add(expected if isinstance(expected, bool) else expected[0])
+    assert outcomes == {True, False, ValueError, TypeError}

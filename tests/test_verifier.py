@@ -305,6 +305,28 @@ def test_verifier_touches_labels_only_through_the_monoid():
         assert counting.op_calls == boxed_report.mult_total == plain_report.mult_total
 
 
+def test_roots_without_reduced_out_edges_take_no_identity():
+    # One identity for the loop phase, then one per root whose search runs:
+    # every root with a reduced out-edge, up to the root of a path mismatch.
+    rng = random.Random(96)
+    sinks = 0
+    diagrams = [kirchhoff_square(), Diagram(build(4, [(2, 2)]), ADDITIVE, [number(0)])]
+    diagrams += [random_diagram(rng) for _ in range(300)]
+    for plain in diagrams:
+        boxed, counting = boxed_diagram(plain)
+        report = verify(boxed)
+        graph = plain.graph
+        last = graph.vertex_count - 1
+        if isinstance(report.witness, PathMismatch):
+            last = report.witness.path1.origin
+        elif report.witness is not None:
+            last = -1
+        roots = [v for v in range(last + 1) if graph.reduced[v]]
+        assert counting.identity_calls == 1 + len(roots), graph.edges
+        sinks += last + 1 - len(roots)
+    assert sinks > 200
+
+
 def test_completed_reduction_matches_structural_count():
     # The reported reduced-edge count is the distinct non-loop pair count;
     # whenever both phases finish, they have checked every other edge once.
