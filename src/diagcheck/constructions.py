@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, is_exact_int
 from .graph import OrientedGraph, require_edge
 from .verifier import bound_eq_checks, bound_mults
 
@@ -44,7 +44,7 @@ class TriploidParams:
     def __post_init__(self):
         for name in ("n1", "n2", "n3", "n0", "e"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if not is_exact_int(value) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         if self.n1 == 0:
             raise ValueError("n1 must be positive (loops attach to the first row)")

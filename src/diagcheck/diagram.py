@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from .errors import frozen
 from .graph import OrientedGraph, require_edge
@@ -79,27 +80,24 @@ class Diagram:
         return f"Diagram({self.graph!r}, monoid={monoid})"
 
 
+class _Run(NamedTuple):
+    """What a run reads of a diagram: graph, ``identity``/``op``/``eq``, labels."""
+
+    graph: OrientedGraph
+    monoid: object
+    labels: list
+
+
 # Exactly these types: a subclass may override ``op``/``eq``, and a wrapper
 # that forwards unknown attributes would expose its inner ``_kernel``.
 _PAYLOAD_FAMILIES = (FreeMonoid, AdditiveMonoid, MatrixMonoid)
 
 
-def _relabeled(diagram: Diagram, monoid, labels) -> Diagram:
-    """``diagram``'s graph under ``monoid`` and ``labels``, built without the
-    ``owns`` check: only for labels derived from ``diagram``'s own, which were
-    checked when it was built."""
-    relabeled = object.__new__(Diagram)
-    object.__setattr__(relabeled, "graph", diagram.graph)
-    object.__setattr__(relabeled, "monoid", monoid)
-    object.__setattr__(relabeled, "labels", labels)
-    return relabeled
-
-
-def _payload_diagram(diagram: Diagram) -> Diagram:
-    """``diagram`` over its family's payload kernel, with payload labels, when
-    its monoid is exactly one of the three built-in families; ``diagram``
-    itself otherwise.  Each family is closed under its operation, so nothing
-    is checked again."""
+def _payload_diagram(diagram: Diagram) -> _Run | Diagram:
+    """``diagram``'s graph, its family's payload kernel and payload labels as a
+    ``_Run``, when its monoid is exactly one of the three built-in families;
+    ``diagram`` itself otherwise.  ``Diagram`` checked the labels, and each
+    family is closed under its operation, so nothing is checked again."""
     monoid = diagram.monoid
     if type(monoid) not in _PAYLOAD_FAMILIES:
         return diagram
@@ -108,7 +106,7 @@ def _payload_diagram(diagram: Diagram) -> Diagram:
     # and CPython keeps each freed tuple of fewer than 20 slots on a free list
     # for its size, so one more would stay allocated per call, up to 2,000
     # per edge count.
-    return _relabeled(diagram, kernel, list(map(kernel.payload, diagram.labels)))
+    return _Run(diagram.graph, kernel, list(map(kernel.payload, diagram.labels)))
 
 
 def label_of_sequence(diagram: Diagram, edge_ids):
@@ -175,19 +173,32 @@ def _too_long(location):
 
 
 def _parse_monoid(obj):
+    """The monoid and its label reader ``(raw, edge index) -> value``."""
     if not isinstance(obj, dict) or "family" not in obj:
         _fail("monoid", "expected an object with a 'family' key")
     family = obj["family"]
     if family not in _FAMILIES:
         _fail("monoid.family", f"unknown monoid family {family!r}")
-    if family == "matrix":
-        _expect_keys(obj, ("family", "k"), "monoid")
-        k = _expect_int(obj["k"], "monoid.k", minimum=1)
-        if k > _MAX_MATRIX_K:
-            _fail("monoid.k", f"expected an integer <= {_MAX_MATRIX_K}, got {k}")
-        return matrix_monoid(k)
-    _expect_keys(obj, ("family",), "monoid")
-    return FREE if family == "free" else ADDITIVE
+    if family != "matrix":
+        _expect_keys(obj, ("family",), "monoid")
+        return (FREE, _free_label) if family == "free" else (ADDITIVE, _additive_label)
+    _expect_keys(obj, ("family", "k"), "monoid")
+    k = _expect_int(obj["k"], "monoid.k", minimum=1)
+    if k > _MAX_MATRIX_K:
+        _fail("monoid.k", f"expected an integer <= {_MAX_MATRIX_K}, got {k}")
+
+    def matrix_label(raw, i):
+        if type(raw) is not list or len(raw) != k:
+            _fail(f"edges[{i}].label", f"matrix label must be a {k}x{k} row-major grid")
+        for r, row in enumerate(raw):
+            if type(row) is not list or len(row) != k:
+                _fail(f"edges[{i}].label", f"matrix label must be a {k}x{k} row-major grid")
+            for x in row:
+                if type(x) is not int:
+                    _int_fault(x, f"edges[{i}].label[{r}]")
+        return _int_matrix(tuple(map(tuple, raw)))
+
+    return matrix_monoid(k), matrix_label
 
 
 def _free_label(raw, i):
@@ -213,28 +224,6 @@ def _additive_label(raw, i):
     return _additive(num // g, den // g)
 
 
-def _label_parser(monoid):
-    """The label parser for ``monoid``: ``(raw, edge index) -> value``."""
-    if monoid.family == "free":
-        return _free_label
-    if monoid.family == "additive":
-        return _additive_label
-    k = monoid.k
-
-    def matrix_label(raw, i):
-        if type(raw) is not list or len(raw) != k:
-            _fail(f"edges[{i}].label", f"matrix label must be a {k}x{k} row-major grid")
-        for r, row in enumerate(raw):
-            if type(row) is not list or len(row) != k:
-                _fail(f"edges[{i}].label", f"matrix label must be a {k}x{k} row-major grid")
-            for x in row:
-                if type(x) is not int:
-                    _int_fault(x, f"edges[{i}].label[{r}]")
-        return _int_matrix(tuple(map(tuple, raw)))
-
-    return matrix_label
-
-
 def _load_json(text, what):
     try:
         return json.loads(text)
@@ -246,13 +235,12 @@ def _load_json(text, what):
         _too_long(what)
 
 
-def _parse_edges(doc, vertices, monoid=None):
+def _parse_edges(doc, vertices, read_label=None):
     """The edge list as (pairs, labels), validated entry by entry in file
-    order: keys, origin, tail, both ranges, then the label when a monoid is
-    given (a bare graph has no labels)."""
-    keys = _GRAPH_KEYS if monoid is None else _DIAGRAM_KEYS
+    order: keys, origin, tail, both ranges, then the label when a label
+    reader is given (a bare graph has no labels)."""
+    keys = _GRAPH_KEYS if read_label is None else _DIAGRAM_KEYS
     key_set = set(keys)
-    parse_label = None if monoid is None else _label_parser(monoid)
     edges = doc["edges"]
     if type(edges) is not list:
         _fail("edges", "expected a list")
@@ -272,8 +260,8 @@ def _parse_edges(doc, vertices, monoid=None):
         if tail >= vertices:
             _fail(f"edges[{i}].tail", f"endpoint {tail} out of range for {vertices} vertices")
         pairs.append((origin, tail))
-        if parse_label is not None:
-            labels.append(parse_label(entry["label"], i))
+        if read_label is not None:
+            labels.append(read_label(entry["label"], i))
     return pairs, labels
 
 
@@ -282,8 +270,8 @@ def parse_diagram(text: str) -> Diagram:
     doc = _load_json(text, "diagram")
     _expect_keys(doc, ("vertices", "monoid", "edges"), "top level")
     vertices = _expect_int(doc["vertices"], "vertices", minimum=0)
-    monoid = _parse_monoid(doc["monoid"])
-    pairs, labels = _parse_edges(doc, vertices, monoid)
+    monoid, read_label = _parse_monoid(doc["monoid"])
+    pairs, labels = _parse_edges(doc, vertices, read_label)
     return Diagram(OrientedGraph(vertices, pairs), monoid, labels)
 
 

@@ -1,11 +1,16 @@
-"""Errors shared across modules, and the decorator that makes the frozen
-records raise ``FrozenInstanceError`` for every attribute change."""
+"""Shared errors, the exact-integer rule, and the decorator that makes the
+frozen records raise ``FrozenInstanceError`` for every attribute change."""
 
 from dataclasses import FrozenInstanceError
 
 
 class BudgetExceededError(RuntimeError):
     """An enumeration outgrew its configured budget; no verdict was produced."""
+
+
+def is_exact_int(value) -> bool:
+    """Whether ``value`` is an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _refuse_set(self, name, value):

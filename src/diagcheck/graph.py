@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import frozen
+from .errors import frozen, is_exact_int
 
 
 @frozen
@@ -33,7 +33,7 @@ class OrientedGraph:
     reduced: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, vertex_count: int, edge_list):
-        if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
+        if not is_exact_int(vertex_count) or vertex_count < 0:
             raise ValueError("vertex count must be a non-negative integer")
         edges = []
         tails = []
@@ -43,11 +43,8 @@ class OrientedGraph:
                 origin, tail = edge
             except (TypeError, ValueError):
                 raise ValueError(f"edge {idx}: expected an (origin, tail) pair, got {edge!r}") from None
-            # ``require_edge``'s rule (no booleans, no non-integers), behind the
-            # exact-type test that nearly every endpoint passes.
-            if not (type(origin) is int and type(tail) is int) and not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in (origin, tail)
-            ):
+            # ``is_exact_int``, behind the exact-type test nearly every endpoint passes.
+            if not (type(origin) is int and type(tail) is int) and not all(map(is_exact_int, (origin, tail))):
                 raise ValueError(f"edge {idx}: endpoints must be integer vertex ids, got ({origin!r}, {tail!r})")
             if not 0 <= origin < vertex_count or not 0 <= tail < vertex_count:
                 raise ValueError(f"edge {idx}: endpoint out of range for {vertex_count} vertices")
@@ -120,11 +117,14 @@ class Path:
 def is_valid_path(graph: OrientedGraph, path: Path) -> bool:
     """Whether consecutive edges compose and the endpoints match: a walk from
     ``path.origin`` along in-range edges, each leaving the vertex the walk is
-    at, that ends at ``path.tail``."""
+    at, that ends at ``path.tail``.  Every id must be an exact integer, so a
+    boolean or a float never names a vertex or an edge."""
     edges = graph.edges
     vertex = path.origin
+    if not (is_exact_int(vertex) and is_exact_int(path.tail)):
+        return False
     for e in path.edges:
-        if not 0 <= e < len(edges) or edges[e][0] != vertex:
+        if not is_exact_int(e) or not 0 <= e < len(edges) or edges[e][0] != vertex:
             return False
         vertex = edges[e][1]
     return vertex == path.tail and 0 <= path.origin < graph.vertex_count
@@ -133,7 +133,7 @@ def is_valid_path(graph: OrientedGraph, path: Path) -> bool:
 def require_edge(graph: OrientedGraph, edge) -> None:
     """Raise ValueError unless ``edge`` is an edge id of ``graph``; booleans
     and non-integers never are."""
-    if not isinstance(edge, int) or isinstance(edge, bool) or not 0 <= edge < graph.edge_count:
+    if not is_exact_int(edge) or not 0 <= edge < graph.edge_count:
         raise ValueError(f"invalid edge id {edge!r}")
 
 

@@ -32,7 +32,7 @@ from math import gcd
 from operator import add, attrgetter, mul
 from typing import Callable, NamedTuple
 
-from .errors import frozen
+from .errors import frozen, is_exact_int
 
 
 class MonoidMismatchError(ValueError):
@@ -319,7 +319,6 @@ class MatrixMonoid(_Monoid):
         one = IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
         product = _MUL_KERNELS.get(k, _mul_rows)
         object.__setattr__(self, "_one", one)
-        object.__setattr__(self, "_mul", product)
         kernel = _Kernel(one.entries, product, operator.eq, attrgetter("entries"), _int_matrix)
         object.__setattr__(self, "_kernel", kernel)
 
@@ -342,7 +341,7 @@ _matrix_monoids: dict[int, MatrixMonoid] = {}
 
 
 def matrix_monoid(k: int) -> MatrixMonoid:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not is_exact_int(k) or k < 1:
         raise ValueError("matrix dimension must be a positive integer")
     mon = _matrix_monoids.get(k)
     if mon is None:
@@ -387,6 +386,8 @@ def matrix(rows) -> IntMatrix:
 
 def matrix_unit(k: int, row: int, col: int) -> IntMatrix:
     """The k x k matrix with a single 1 at (row, col), 0-based."""
+    if not (is_exact_int(k) and is_exact_int(row) and is_exact_int(col)):
+        raise ValueError("matrix unit dimension and position must be integers")
     if not 0 <= row < k or not 0 <= col < k:
         raise ValueError("matrix unit position out of range")
     return IntMatrix(tuple(tuple(1 if (i, j) == (row, col) else 0 for j in range(k)) for i in range(k)))

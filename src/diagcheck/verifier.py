@@ -11,19 +11,20 @@ The pass runs three phases over the reduction the graph lists once
    vertex without a reduced out-edge is skipped, as its search would do no
    monoid operation.
 
-The phases touch labels only through ``diagram.monoid``'s
-``identity``/``op``/``eq``; every ``op`` and ``eq`` call is counted, and the
-counters are the report.  The pass stops at the first violation and returns a
-witness for it.  Every run starts from ``diagram._payload_diagram``: when the
-monoid is exactly one of the three built-in families, the phases get the
-diagram over that family's payload kernel, with no per-call operand check or
-value object.  Any other monoid, a subclass or a wrapper included, is called
-as it is.  Witnesses hold only edge ids, so no payload leaves the pass.
+The phases read only ``.graph``, ``.monoid`` and ``.labels``, and labels only
+through the monoid's ``identity``/``op``/``eq``; every ``op`` and ``eq`` call
+is counted, and the counters are the report.  The pass stops at the first
+violation and returns a witness for it.  Every run starts from
+``diagram._payload_diagram``: for a monoid of exactly one of the three
+built-in families, the phases read a plain ``_Run(graph, kernel, payloads)``
+view, with no per-call operand check or value object.  Any other monoid, a
+subclass or a wrapper included, runs on the ``Diagram`` as it is.  Witnesses
+hold only edge ids, so no payload leaves the pass.
 
-A relation trace is the same run over M x the free monoid on edge ids: edge
-e is labeled (label, (e,)), and ``_TracedMonoid``, wrapped around the monoid
-the run would use untraced, records the edge-id words of the operands of
-every ``op`` and ``eq``, so the phases carry no trace code.
+A relation trace is the same run over M x the free monoid on edge ids: a
+``_Run`` whose edge e is labeled (label, (e,)), under ``_TracedMonoid``, which
+records the edge-id words of every ``op`` and ``eq``'s operands, so the
+phases carry no trace code.
 
 ``VerificationReport.to_json`` writes ``json.dumps(doc, indent=2)`` of the
 report as a dict ``doc`` directly, one template per fixed shape, so a report
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, _int_list, _json_list, _payload_diagram, _relabeled
+from .diagram import Diagram, _int_list, _json_list, _payload_diagram, _Run
 from .graph import Path
 
 
@@ -273,19 +274,19 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
     """
     relation_trace = RelationTrace() if trace else None
     counters = Counters()
-    diagram = _payload_diagram(diagram)
+    run = _payload_diagram(diagram)
     if trace:
-        traced = _TracedMonoid(diagram.monoid, relation_trace)
-        diagram = _relabeled(diagram, traced, [(label, (e,)) for e, label in enumerate(diagram.labels)])
-    witness = remove_loops(diagram, counters)
+        traced = _TracedMonoid(run.monoid, relation_trace)
+        run = _Run(run.graph, traced, [(label, (e,)) for e, label in enumerate(run.labels)])
+    witness = remove_loops(run, counters)
     if witness is None:
-        witness = remove_multiple_edges(diagram, counters)
+        witness = remove_multiple_edges(run, counters)
     if witness is None:
-        witness = _dfs_all_roots(diagram, counters)
+        witness = _dfs_all_roots(run, counters)
     return VerificationReport(
         commutative=witness is None,
         counters=counters,
-        reduced_edges=reduced_edge_count(diagram),
+        reduced_edges=reduced_edge_count(run),
         witness=witness,
         trace=relation_trace,
     )

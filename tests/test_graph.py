@@ -121,6 +121,20 @@ def test_path_validity():
     assert not is_valid_path(graph, Path((7,), 0, 1))
 
 
+def test_path_ids_must_be_exact_integers():
+    square = rhomboid_square_graph()
+    assert is_valid_path(square, Path((1,), 1, 3))
+    for path in (
+        Path((1,), True, 3),
+        Path((True,), 1, 3),
+        Path((0.0,), 0, 1),
+        Path((0,), 0.0, 1),
+        Path((0,), 0, 1.0),
+        Path((), False, False),
+    ):
+        assert not is_valid_path(square, path), path
+
+
 def _reference_is_valid_path(graph, path) -> bool:
     # The four-check form ``is_valid_path`` replaced, kept as the reference.
     for e in path.edges:

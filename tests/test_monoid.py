@@ -41,6 +41,16 @@ def test_identities():
     assert identity(ADDITIVE) == number(0)
 
 
+def test_matrix_unit_refuses_non_integer_arguments():
+    assert matrix_unit(2, 1, 0) == matrix(((0, 0), (1, 0)))
+    for args in ((2, 0.5, 0), (2, True, False), (2, 0, 1.0), (2.0, 0, 0), (True, 0, 0)):
+        with pytest.raises(ValueError, match="matrix unit dimension and position must be integers"):
+            matrix_unit(*args)
+    for args in ((2, 2, 0), (2, 0, -1), (0, 0, 0)):
+        with pytest.raises(ValueError, match="matrix unit position out of range"):
+            matrix_unit(*args)
+
+
 def test_matrix_unit_products():
     assert op(matrix_unit(3, 0, 1), matrix_unit(3, 1, 2)) == matrix_unit(3, 0, 2)
     assert op(matrix_unit(3, 1, 2), matrix_unit(3, 0, 1)) == zero_matrix(3)
@@ -258,9 +268,9 @@ def test_matrix_kernel_equals_validated_construction(pair):
 
 
 def test_matrix_kernels_by_dimension():
-    assert matrix_monoid(2)._mul.__name__ == "_mul_2"
-    assert matrix_monoid(3)._mul.__name__ == "_mul_3"
-    assert {matrix_monoid(k)._mul.__name__ for k in (1, 4, 8, 16)} == {"_mul_rows"}
+    assert matrix_monoid(2)._kernel.op.__name__ == "_mul_2"
+    assert matrix_monoid(3)._kernel.op.__name__ == "_mul_3"
+    assert {matrix_monoid(k)._kernel.op.__name__ for k in (1, 4, 8, 16)} == {"_mul_rows"}
 
 
 def test_row_kernel_reuses_rows_for_a_coefficient_of_one():

@@ -31,7 +31,7 @@ from diagcheck import (
 from diagcheck import FREE
 
 from . import reference
-from .conftest import boxed_diagram, kirchhoff_square, random_diagram
+from .conftest import boxed_diagram, kirchhoff_square, random_diagram, rhomboid_square_graph
 from .reference import enumerate_walks
 
 
@@ -130,6 +130,14 @@ def test_validate_path_mismatch():
     assert not validate_witness(d, PathMismatch(Path((0,), 0, 1), Path((2, 3), 0, 3)))
     # Non-composing edges make an invalid path.
     assert not validate_witness(d, PathMismatch(Path((1, 0), 0, 3), Path((2, 3), 0, 3)))
+
+
+def test_validate_path_mismatch_refuses_non_integer_endpoints():
+    d = rhomboid_gap_labeling(rhomboid_square_graph(), Rhomboid(0, 1, 2, 3))
+    for origin, tail in ((False, 3), (0.0, 3), (0, 3.0), (0.0, 3.0)):
+        witness = PathMismatch(Path((0, 1), origin, tail), Path((2, 3), origin, tail))
+        assert not validate_witness(d, witness), (origin, tail)
+        assert not reference.validate_witness(d, witness), (origin, tail)
 
 
 def test_validate_witness_malformed_raises():
