@@ -7,35 +7,19 @@ usage, parse, or budget errors, an unreadable input file, or an output file
 that cannot be written.  Identical inputs and seeds produce byte-identical
 output.  Still open: verify/oracle on a non-UTF-8 or deeply nested document
 exit 1 with a traceback.
+
+The module level imports only what ``verify`` runs.  The other subcommands
+import ``constructions``, ``adversarial``, ``oracle``, ``csv`` and ``random``
+inside their handlers, so a ``verify`` process never loads them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
-import random
 import sys
 
-from .adversarial import (
-    loop_indicator_labeling,
-    loop_kernel_labeling,
-    nz_edge_labeling,
-    nz_pair_labeling,
-    rhomboid_gap_labeling,
-)
-from .constructions import (
-    LOWER_BOUND_SCALE,
-    Rhomboid,
-    TriploidParams,
-    choose_triploid,
-    explicit_rhomboid_family,
-    greedy_disjoint_rhomboids,
-    rank_bounds,
-    triploid,
-    verify_nu_ge,
-)
 from .diagram import (
     Diagram,
     DiagramFormatError,
@@ -44,10 +28,9 @@ from .diagram import (
     serialize_diagram,
     serialize_graph,
 )
-from .errors import BudgetExceededError
+from .errors import DEFAULT_WALK_BUDGET, BudgetExceededError
 from .graph import OrientedGraph, strip_loops
 from .monoid import FREE
-from .oracle import DEFAULT_WALK_BUDGET, oracle_verify
 from .verifier import bound_eq_checks, bound_mults, verify
 
 
@@ -97,6 +80,8 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_graph(args) -> tuple[OrientedGraph, TriploidParams | None]:
+    from .constructions import TriploidParams, choose_triploid, triploid
+
     if args.fit is not None:
         params = choose_triploid(args.fit[0], args.fit[1])
         graph = triploid(params)
@@ -123,6 +108,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_verify
+
     diagram = parse_diagram(_read(args.diagram))
     bound = args.length if args.length is not None else diagram.graph.vertex_count
     try:
@@ -144,6 +131,15 @@ def _cmd_gen(args) -> int:
 
 
 def _fixture_diagram(args, graph: OrientedGraph, params: TriploidParams | None) -> Diagram:
+    from .adversarial import (
+        loop_indicator_labeling,
+        loop_kernel_labeling,
+        nz_edge_labeling,
+        nz_pair_labeling,
+        rhomboid_gap_labeling,
+    )
+    from .constructions import Rhomboid, explicit_rhomboid_family
+
     name = args.name
     if name == "nz-edge":
         if args.edge is None:
@@ -186,6 +182,8 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_rhomboids(args) -> int:
+    from .constructions import explicit_rhomboid_family, greedy_disjoint_rhomboids
+
     try:
         graph, params = _resolve_graph(args)
         if args.explicit:
@@ -202,6 +200,8 @@ def _cmd_rhomboids(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .constructions import LOWER_BOUND_SCALE, rank_bounds
+
     try:
         bounds = rank_bounds(args.n, args.m)
     except ValueError as exc:
@@ -265,6 +265,10 @@ def random_graph(n: int, m: int, rng: random.Random) -> OrientedGraph:
 
 
 def bench_rows(n_grid, m_grid, seed: int, instances: int) -> list[dict]:
+    import random
+
+    from .constructions import triploid, verify_nu_ge
+
     rng = random.Random(seed)
     rows = []
     for n in sorted(set(n_grid)):
@@ -283,6 +287,8 @@ def bench_rows(n_grid, m_grid, seed: int, instances: int) -> list[dict]:
 
 
 def _cmd_bench(args) -> int:
+    import csv
+
     try:
         n_grid = [int(part) for part in args.n_grid.split(",") if part != ""]
         m_grid = [int(part) for part in args.m_grid.split(",") if part != ""]

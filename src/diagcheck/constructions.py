@@ -11,12 +11,11 @@ parameters realizing the lower-bound family for any vertex/edge budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, is_exact_int
+from .errors import BudgetExceededError, Frozen, is_exact_int, require_count
 from .graph import OrientedGraph, require_edge
 from .verifier import bound_eq_checks, bound_mults
 
@@ -31,24 +30,19 @@ class Rhomboid(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True)
-class TriploidParams:
+class TriploidParams(Frozen):
     """Row sizes (n1, n2, n3), isolated-vertex count n0, and total edges e."""
 
-    n1: int
-    n2: int
-    n3: int
-    n0: int
-    e: int
+    __slots__ = __match_args__ = ("n1", "n2", "n3", "n0", "e")
 
-    def __post_init__(self):
-        for name in ("n1", "n2", "n3", "n0", "e"):
-            value = getattr(self, name)
+    def __init__(self, n1: int, n2: int, n3: int, n0: int, e: int):
+        for name, value in zip(self.__slots__, (n1, n2, n3, n0, e)):
             if not is_exact_int(value) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if self.n1 == 0:
+            object.__setattr__(self, name, value)
+        if n1 == 0:
             raise ValueError("n1 must be positive (loops attach to the first row)")
-        if self.e < self.n2 * (self.n1 + self.n3):
+        if e < n2 * (n1 + n3):
             raise ValueError("e must cover both complete bipartite blocks")
 
     @property
@@ -161,8 +155,11 @@ def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = 10**6) -> list
 
     A lower-bound certificate for the best possible family, not a maximizer.
     Within each adjacency list edge ids ascend, so the four nested scans
-    below enumerate candidate tuples in lexicographic order.
+    below enumerate candidate tuples in lexicographic order.  Each step of the
+    innermost scan counts against ``budget``, a non-negative integer; past it
+    the call raises ``BudgetExceededError``.
     """
+    require_count(budget, "rhomboid enumeration budget")
     tail = graph.tail
     adjacency = graph.adjacency
     chosen: list[Rhomboid] = []

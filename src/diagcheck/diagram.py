@@ -25,13 +25,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import NamedTuple
 
-from .errors import frozen
+from .errors import Frozen
 from .graph import OrientedGraph, require_edge
 from .monoid import (
     ADDITIVE,
@@ -54,14 +53,10 @@ class DiagramFormatError(ValueError):
     """Malformed diagram or graph document; the message carries the location."""
 
 
-@frozen
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Diagram:
+class Diagram(Frozen):
     """An oriented graph labeled edge-by-edge from one monoid instance."""
 
-    graph: OrientedGraph
-    monoid: object
-    labels: tuple
+    __slots__ = __match_args__ = ("graph", "monoid", "labels")
 
     def __init__(self, graph: OrientedGraph, monoid, labels):
         labels = tuple(labels)
@@ -80,12 +75,10 @@ class Diagram:
         return f"Diagram({self.graph!r}, monoid={monoid})"
 
 
-class _Run(NamedTuple):
+class _Run(namedtuple("_Run", "graph monoid labels")):
     """What a run reads of a diagram: graph, ``identity``/``op``/``eq``, labels."""
 
-    graph: OrientedGraph
-    monoid: object
-    labels: list
+    __slots__ = ()
 
 
 # Exactly these types: a subclass may override ``op``/``eq``, and a wrapper

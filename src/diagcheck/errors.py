@@ -1,7 +1,7 @@
-"""Shared errors, the exact-integer rule, and the decorator that makes the
-frozen records raise ``FrozenInstanceError`` for every attribute change."""
+"""Shared errors, the walk budget, the exact-integer rule, and the two record
+bases every package record derives from."""
 
-from dataclasses import FrozenInstanceError
+DEFAULT_WALK_BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):
@@ -13,22 +13,66 @@ def is_exact_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _refuse_set(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+def require_count(value, what: str) -> None:
+    """Raise ValueError unless ``value`` is a non-negative exact integer."""
+    if not is_exact_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
 
 
-def _refuse_del(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+class Record:
+    """A mutable record.  A subclass stores its fields in ``__slots__`` and
+    sets them in its own ``__init__``; ``__match_args__`` names the fields
+    that the repr, ``==`` and pattern matching read, in order.  Two records
+    are equal when they are of one class and those fields are equal.  Pickling
+    and copying carry every slot."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
-def frozen(cls):
-    """Refuse every attribute assignment and deletion on ``cls``.
+def _refuse(message):
+    # The error dataclasses' frozen instances raise, imported only when raised.
+    from dataclasses import FrozenInstanceError
 
-    The ``__setattr__``/``__delattr__`` that ``dataclass(frozen=True,
-    slots=True)`` generates on Python 3.11 still name the class that the
-    slotted copy replaced, so a name that is not a field raises ``TypeError``
-    from ``super()`` instead of ``FrozenInstanceError``.
-    """
-    cls.__setattr__ = _refuse_set
-    cls.__delattr__ = _refuse_del
-    return cls
+    raise FrozenInstanceError(message)
+
+
+class Frozen(Record):
+    """A record that refuses every attribute assignment and deletion with
+    ``FrozenInstanceError``.  Its ``__init__`` sets each slot through
+    ``object.__setattr__``, and it hashes as the tuple of its
+    ``__match_args__`` fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _refuse(f"cannot delete field {name!r}")

@@ -13,24 +13,16 @@ which the verifier's DFS walks.  ``tails[e]`` is the tail of edge e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import frozen, is_exact_int
+from .errors import Frozen, is_exact_int
 
 
-@frozen
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class OrientedGraph:
+class OrientedGraph(Frozen):
     """Immutable edge-table graph; edge ids index the input order."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    # Derived from the edge table, so equality and hashing leave them out.
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
-    tails: tuple[int, ...] = field(compare=False)
-    loops: tuple[int, ...] = field(compare=False)
-    duplicates: tuple[tuple[int, int], ...] = field(compare=False)
-    reduced: tuple[tuple[int, ...], ...] = field(compare=False)
+    __slots__ = ("vertex_count", "edges", "adjacency", "tails", "loops", "duplicates", "reduced")
+    # The other slots are derived from the edge table, so equality and
+    # hashing leave them out.
+    __match_args__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edge_list):
         if not is_exact_int(vertex_count) or vertex_count < 0:
@@ -102,16 +94,15 @@ def build(vertex_count: int, edge_list) -> OrientedGraph:
     return OrientedGraph(vertex_count, edge_list)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """An edge sequence with explicit endpoints, so empty paths have a home."""
 
-    edges: tuple[int, ...]
-    origin: int
-    tail: int
+    __slots__ = __match_args__ = ("edges", "origin", "tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, edges, origin: int, tail: int):
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "tail", tail)
 
 
 def is_valid_path(graph: OrientedGraph, path: Path) -> bool:

@@ -25,14 +25,12 @@ rows.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import compress
 from math import gcd
 from operator import add, attrgetter, mul
-from typing import Callable, NamedTuple
 
-from .errors import frozen, is_exact_int
+from .errors import Frozen, is_exact_int
 
 
 class MonoidMismatchError(ValueError):
@@ -43,45 +41,50 @@ class MonoidMismatchError(ValueError):
 # Values
 
 
-@frozen
-@dataclass(frozen=True, slots=True)
-class FreeWord:
+class FreeWord(Frozen):
     """Element of the free monoid: a finite sequence of generator ids."""
 
-    letters: tuple[int, ...]
+    __slots__ = __match_args__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
+    def __init__(self, letters):
+        letters = tuple(letters)
+        for x in letters:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise ValueError("free-word letters must be non-negative integers")
+        object.__setattr__(self, "letters", letters)
 
     @property
     def monoid(self) -> "FreeMonoid":
         return FREE
 
 
-@frozen
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class AdditiveNumber:
+class AdditiveNumber(Frozen):
     """Exact rational under addition, held as a normalized integer pair:
-    ``den > 0`` and ``gcd(num, den) == 1``, so equal values have equal pairs."""
+    ``den > 0`` and ``gcd(num, den) == 1``, so equal values have equal pairs.
+    ``fractions`` is imported only where a ``Fraction`` is taken or given."""
 
-    num: int
-    den: int
+    __slots__ = __match_args__ = ("num", "den")
 
     def __init__(self, value):
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise ValueError("additive value must be an int or a Fraction")
-        value = Fraction(value)
-        object.__setattr__(self, "num", value.numerator)
-        object.__setattr__(self, "den", value.denominator)
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            from fractions import Fraction
+
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ValueError("additive value must be an int or a Fraction")
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __repr__(self):
         return f"AdditiveNumber(value={self.value!r})"
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, self.den)
 
     @property
@@ -92,16 +95,13 @@ class AdditiveNumber:
         return _additive(-self.num, self.den)
 
 
-@frozen
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Square matrix of exact integers under multiplication."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries):
+        rows = tuple(tuple(row) for row in entries)
         if not rows:
             raise ValueError("matrix dimension must be at least 1")
         for row in rows:
@@ -110,6 +110,7 @@ class IntMatrix:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError("matrix entries must be exact integers")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def k(self) -> int:
@@ -159,12 +160,8 @@ def _int_matrix(entries: tuple) -> IntMatrix:
 # maps a product back to a value through the trusted builder.
 
 
-class _Kernel(NamedTuple):
-    one: object
-    op: Callable
-    eq: Callable
-    payload: Callable
-    box: Callable
+class _Kernel(namedtuple("_Kernel", "one op eq payload box")):
+    __slots__ = ()
 
     def identity(self):
         return self.one
@@ -246,10 +243,12 @@ _MUL_KERNELS = {2: _mul_2, 3: _mul_3}
 # class, ``op`` returns the operand (a subclass operand is never returned).
 
 
-class _Monoid:
+class _Monoid(Frozen):
     """The descriptor surface every family shares.  A subclass sets
     ``family``, its identity ``_one``, its ``_value_class``, the ``_noun``
     that mismatch errors name and its payload ``_kernel``."""
+
+    __slots__ = ()
 
     def identity(self):
         return self._one
@@ -283,9 +282,10 @@ class _Monoid:
         return kernel.eq(kernel.payload(a), kernel.payload(b))
 
 
-@dataclass(frozen=True)
 class FreeMonoid(_Monoid):
     """Free words under concatenation; the identity is the empty word."""
+
+    __slots__ = ()
 
     family = "free"
     _one = FreeWord(())
@@ -295,9 +295,10 @@ class FreeMonoid(_Monoid):
     _kernel = _Kernel((), add, operator.eq, attrgetter("letters"), _free_word)
 
 
-@dataclass(frozen=True)
 class AdditiveMonoid(_Monoid):
     """Exact rationals under addition; the identity is 0."""
+
+    __slots__ = ()
 
     family = "additive"
     _one = AdditiveNumber(0)
@@ -306,18 +307,18 @@ class AdditiveMonoid(_Monoid):
     _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"), lambda p: _additive(*p))
 
 
-@dataclass(frozen=True)
 class MatrixMonoid(_Monoid):
     """k x k integer matrices under multiplication; the identity matrix is 1."""
 
-    k: int
+    __slots__ = ("k", "_one", "_kernel")
+    __match_args__ = ("k",)
     family = "matrix"
     _value_class = IntMatrix
 
-    def __post_init__(self):
-        k = self.k
+    def __init__(self, k: int):
         one = IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
         product = _MUL_KERNELS.get(k, _mul_rows)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "_one", one)
         kernel = _Kernel(one.entries, product, operator.eq, attrgetter("entries"), _int_matrix)
         object.__setattr__(self, "_kernel", kernel)

@@ -12,11 +12,9 @@ refuses (rather than truncates) work past its budget.
 from __future__ import annotations
 
 from .diagram import Diagram, _payload_diagram, label_of_sequence
-from .errors import BudgetExceededError
+from .errors import DEFAULT_WALK_BUDGET, BudgetExceededError, require_count
 from .graph import Path, is_valid_path, require_edge
 from .verifier import MultiEdgeMismatch, NonIdentityLoop, PathMismatch
-
-DEFAULT_WALK_BUDGET = 10**6
 
 
 def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> bool:
@@ -26,11 +24,12 @@ def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WAL
     depth-first search builds every walk's label incrementally (one product
     per extension) and compares it with the first walk that reached the same
     vertex.  Every walk counts against ``budget``, the empty one at each start
-    included; past it the call raises ``BudgetExceededError``.  A built-in
-    family runs on its payload kernel, as in ``verify``.
+    included; past it the call raises ``BudgetExceededError``.  The bound and
+    the budget must be non-negative integers.  A built-in family runs on its
+    payload kernel, as in ``verify``.
     """
-    if length_bound < 0:
-        raise ValueError("length bound must be non-negative")
+    require_count(length_bound, "length bound")
+    require_count(budget, "walk budget")
     diagram = _payload_diagram(diagram)
     graph = diagram.graph
     labels = diagram.labels

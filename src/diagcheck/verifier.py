@@ -33,50 +33,59 @@ and its trace cost one string format per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagram import Diagram, _int_list, _json_list, _payload_diagram, _Run
+from .errors import Frozen, Record
 from .graph import Path
 
 
-@dataclass
-class Counters:
+class Counters(Record):
     """Exact per-phase operation counts."""
 
-    eq_loops: int = 0
-    eq_multi: int = 0
-    eq_dfs: int = 0
-    mult_dfs: int = 0
+    __slots__ = __match_args__ = ("eq_loops", "eq_multi", "eq_dfs", "mult_dfs")
+
+    def __init__(self, eq_loops: int = 0, eq_multi: int = 0, eq_dfs: int = 0, mult_dfs: int = 0):
+        self.eq_loops = eq_loops
+        self.eq_multi = eq_multi
+        self.eq_dfs = eq_dfs
+        self.mult_dfs = mult_dfs
 
 
-@dataclass
-class RelationTrace:
+class RelationTrace(Record):
     """Every equality check and concatenation performed, as pairs of edge-id words.
 
     Each relation mirrors the operands of one ``eq`` call; each product mirrors
     one ``op`` call.  Together they form a relation system whose verification
-    is exactly what the run did.
+    is exactly what the run did.  Each list defaults to a new empty one.
     """
 
-    relations: list = field(default_factory=list)
-    products: list = field(default_factory=list)
+    __slots__ = __match_args__ = ("relations", "products")
+
+    def __init__(self, relations: list | None = None, products: list | None = None):
+        self.relations = [] if relations is None else relations
+        self.products = [] if products is None else products
 
 
-@dataclass(frozen=True)
-class NonIdentityLoop:
-    edge: int
+class NonIdentityLoop(Frozen):
+    __slots__ = __match_args__ = ("edge",)
+
+    def __init__(self, edge: int):
+        object.__setattr__(self, "edge", edge)
 
 
-@dataclass(frozen=True)
-class MultiEdgeMismatch:
-    edge: int
-    kept: int
+class MultiEdgeMismatch(Frozen):
+    __slots__ = __match_args__ = ("edge", "kept")
+
+    def __init__(self, edge: int, kept: int):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "kept", kept)
 
 
-@dataclass(frozen=True)
-class PathMismatch:
-    path1: Path
-    path2: Path
+class PathMismatch(Frozen):
+    __slots__ = __match_args__ = ("path1", "path2")
+
+    def __init__(self, path1: Path, path2: Path):
+        object.__setattr__(self, "path1", path1)
+        object.__setattr__(self, "path2", path2)
 
 
 # Layouts of the report document's fixed shapes.  Every ``%d`` value is an
@@ -121,13 +130,22 @@ def _format_pairs(pairs) -> str:
     return _json_list([_TRACE_PAIR % (_int_list(lhs, 4), _int_list(rhs, 4)) for lhs, rhs in pairs], 2)
 
 
-@dataclass
-class VerificationReport:
-    commutative: bool
-    counters: Counters
-    reduced_edges: int
-    witness: object | None = None
-    trace: RelationTrace | None = None
+class VerificationReport(Record):
+    __slots__ = __match_args__ = ("commutative", "counters", "reduced_edges", "witness", "trace")
+
+    def __init__(
+        self,
+        commutative: bool,
+        counters: Counters,
+        reduced_edges: int,
+        witness: object | None = None,
+        trace: RelationTrace | None = None,
+    ):
+        self.commutative = commutative
+        self.counters = counters
+        self.reduced_edges = reduced_edges
+        self.witness = witness
+        self.trace = trace
 
     @property
     def eq_total(self) -> int:

@@ -222,6 +222,15 @@ def test_greedy_budget_error():
         greedy_disjoint_rhomboids(graph, budget=5)
 
 
+@pytest.mark.parametrize("budget", [5.5, True, None, "5", -1])
+def test_greedy_refuses_a_budget_that_is_no_count(budget):
+    graph = triploid(TriploidParams(3, 2, 4, 2, 16))
+    with pytest.raises(ValueError, match="rhomboid enumeration budget must be"):
+        greedy_disjoint_rhomboids(graph, budget=budget)
+    with pytest.raises(BudgetExceededError, match="budget of 0 exceeded"):
+        greedy_disjoint_rhomboids(graph, budget=0)
+
+
 def test_rank_bounds_values():
     bounds = rank_bounds(11, 16)
     assert bounds["eta_upper"] == 192

@@ -73,6 +73,30 @@ def test_budget_exceeded_is_an_error():
         oracle_verify(d, 6, budget=100)
 
 
+@pytest.mark.parametrize(
+    "length_bound, budget, message",
+    [
+        (2.5, 10**6, "length bound must be an integer, got 2.5"),
+        (True, 10**6, "length bound must be an integer, got True"),
+        (None, 10**6, "length bound must be an integer, got None"),
+        (-1, 10**6, "length bound must be non-negative, got -1"),
+        (4, True, "walk budget must be an integer, got True"),
+        (4, 100.0, "walk budget must be an integer, got 100.0"),
+        (4, -1, "walk budget must be non-negative, got -1"),
+    ],
+)
+def test_oracle_refuses_a_bound_or_budget_that_is_no_count(length_bound, budget, message):
+    # 2.5 enumerated walks of length 3, True acted as 1, and None raised
+    # TypeError; a budget of True ran out as "walk budget of True".
+    with pytest.raises(ValueError) as info:
+        oracle_verify(kirchhoff_square(), length_bound, budget=budget)
+    assert str(info.value) == message
+    # Zero is a count: no walk at all, and a budget the first walk exceeds.
+    assert oracle_verify(kirchhoff_square(), 0)
+    with pytest.raises(BudgetExceededError, match="walk budget of 0 exceeded"):
+        oracle_verify(kirchhoff_square(), 4, budget=0)
+
+
 def test_oracle_examples():
     loop2 = Diagram(build(1, [(0, 0)]), ADDITIVE, [number(2)])
     assert not oracle_verify(loop2, 1)
