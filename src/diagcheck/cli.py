@@ -114,7 +114,7 @@ def _cmd_oracle(args) -> int:
     bound = args.length if args.length is not None else diagram.graph.vertex_count
     try:
         commutative = oracle_verify(diagram, bound, budget=args.budget)
-    except ValueError as exc:  # a negative --length
+    except ValueError as exc:  # a negative --length or --budget
         return _fail(str(exc))
     payload = {"commutative": commutative, "counters": None, "witness": None, "trace": None}
     _emit(json.dumps(payload, indent=2), args.report)

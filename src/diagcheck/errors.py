@@ -1,6 +1,8 @@
 """Shared errors, the walk budget, the exact-integer rule, and the two record
 bases every package record derives from."""
 
+# ``oracle_verify``'s default budget, kept here so that the CLI can offer it
+# as ``oracle --budget``'s default without importing ``oracle``.
 DEFAULT_WALK_BUDGET = 10**6
 
 
@@ -22,11 +24,11 @@ def require_count(value, what: str) -> None:
 
 
 class Record:
-    """A mutable record.  A subclass stores its fields in ``__slots__`` and
-    sets them in its own ``__init__``; ``__match_args__`` names the fields
-    that the repr, ``==`` and pattern matching read, in order.  Two records
-    are equal when they are of one class and those fields are equal.  Pickling
-    and copying carry every slot."""
+    """A mutable, unhashable record, and the base of ``Frozen``.  A subclass
+    stores its fields in ``__slots__`` and sets them in its own ``__init__``;
+    ``__match_args__`` names the fields that the repr, ``==`` and pattern
+    matching read, in order.  Two records are equal when they are of one class
+    and those fields are equal.  Pickling and copying carry every slot."""
 
     __slots__ = ()
     __match_args__ = ()
