@@ -28,7 +28,7 @@ from .diagram import (
     serialize_diagram,
     serialize_graph,
 )
-from .errors import DEFAULT_WALK_BUDGET, BudgetExceededError
+from .errors import DEFAULT_RHOMBOID_BUDGET, DEFAULT_WALK_BUDGET, BudgetExceededError
 from .graph import OrientedGraph, strip_loops
 from .monoid import FREE
 from .verifier import bound_eq_checks, bound_mults, verify
@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--explicit", action="store_true", help="the triploid's explicit family")
     mode.add_argument("--greedy", action="store_true", help="first-fit family on any graph")
     _add_graph_source(p)
-    p.add_argument("--budget", type=int, default=10**6, help="enumeration budget for --greedy")
+    p.add_argument("--budget", type=int, default=DEFAULT_RHOMBOID_BUDGET, help="enumeration budget for --greedy")
     p.add_argument("--out", metavar="PATH", help="also write the JSON to PATH")
     p.set_defaults(handler=_cmd_rhomboids)
 

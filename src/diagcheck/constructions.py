@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, Frozen, is_exact_int, require_count
+from .errors import DEFAULT_RHOMBOID_BUDGET, BudgetExceededError, Frozen, is_exact_int, require_count
 from .graph import OrientedGraph, require_edge
 from .verifier import bound_eq_checks, bound_mults
 
@@ -149,7 +149,7 @@ def choose_triploid(n: int, m: int) -> TriploidParams:
     return TriploidParams(q, half, q, n - 2 * q - half, m)
 
 
-def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = 10**6) -> list[Rhomboid]:
+def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = DEFAULT_RHOMBOID_BUDGET) -> list[Rhomboid]:
     """First-fit pairwise-disjoint family over rhomboids enumerated in
     ascending (a, b, c, d) edge-id order.
 

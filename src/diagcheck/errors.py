@@ -1,9 +1,12 @@
-"""Shared errors, the walk budget, the exact-integer rule, and the two record
-bases every package record derives from."""
+"""Shared errors, the default budgets, the exact-integer rule, and the two
+record bases every package record derives from."""
 
-# ``oracle_verify``'s default budget, kept here so that the CLI can offer it
-# as ``oracle --budget``'s default without importing ``oracle``.
+# The default budgets of ``oracle_verify`` and ``greedy_disjoint_rhomboids``,
+# kept here so that the CLI can offer them as ``oracle --budget``'s and
+# ``rhomboids --budget``'s defaults without importing ``oracle`` or
+# ``constructions``.
 DEFAULT_WALK_BUDGET = 10**6
+DEFAULT_RHOMBOID_BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):

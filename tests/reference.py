@@ -37,6 +37,7 @@ from diagcheck import (
     label_of_sequence,
 )
 from diagcheck.diagram import _payload_diagram
+from diagcheck.errors import require_count
 from diagcheck.graph import require_edge
 from diagcheck.oracle import DEFAULT_WALK_BUDGET
 
@@ -222,9 +223,10 @@ class WalkEnumeration:
 def enumerate_walks(graph: OrientedGraph, length_bound: int, budget: int = DEFAULT_WALK_BUDGET) -> WalkEnumeration:
     """Every walk up to the length bound, depth-first from each start vertex
     in turn, in the order ``oracle_verify`` visits them.  Raises past
-    ``budget`` walks, the empty ones included."""
-    if length_bound < 0:
-        raise ValueError("length bound must be non-negative")
+    ``budget`` walks, the empty ones included.  The bound and the budget
+    must be non-negative integers, as ``oracle_verify`` requires."""
+    require_count(length_bound, "length bound")
+    require_count(budget, "walk budget")
     groups: dict = {}
     count = 0
     for start in range(graph.vertex_count):

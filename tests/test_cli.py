@@ -356,3 +356,13 @@ def test_option_errors_exit_two(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_rhomboids_budget_default_is_the_greedy_default():
+    import inspect
+
+    from diagcheck.cli import _build_parser
+    from diagcheck.constructions import greedy_disjoint_rhomboids
+
+    args = _build_parser().parse_args(["rhomboids", "--greedy", "--fit", "8", "12"])
+    assert args.budget == inspect.signature(greedy_disjoint_rhomboids).parameters["budget"].default

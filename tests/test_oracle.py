@@ -344,3 +344,18 @@ def test_validate_witness_matches_the_reference():
             assert counting.eq_calls <= 1 and (expected is not True or counting.eq_calls == 1)
             outcomes.add(expected if isinstance(expected, bool) else expected[0])
     assert outcomes == {True, False, ValueError, TypeError}
+
+
+@pytest.mark.parametrize(
+    ("length_bound", "message"),
+    [
+        (2.5, "length bound must be an integer, got 2.5"),
+        (True, "length bound must be an integer, got True"),
+        (None, "length bound must be an integer, got None"),
+    ],
+)
+def test_walk_reference_refuses_a_bound_that_is_no_count(length_bound, message):
+    # The reference takes the bound as ``oracle_verify`` does: 2.5 is no
+    # bound of 3, nor ``True`` one of 1.
+    with pytest.raises(ValueError, match=message):
+        enumerate_walks(build(2, [(0, 1), (1, 0)]), length_bound)
