@@ -220,15 +220,9 @@ def _cmd_bounds(args) -> int:
 # Bench
 
 
-def _identity_labeled(graph: OrientedGraph) -> Diagram:
-    # Identity labels keep every check true, so the run never exits early and
-    # the counters are the maximum the graph can produce.
-    one = FREE.identity()
-    return Diagram(graph, FREE, [one] * graph.edge_count)
-
-
 def _count_row(graph: OrientedGraph, n: int, m: int, kind: str, instance: int) -> dict:
-    report = verify(_identity_labeled(graph))
+    # Identity labels pass every check, so the counters are the graph's maximum.
+    report = verify(Diagram(graph, FREE, [FREE.identity()] * graph.edge_count))
     reduced = report.reduced_edges
     bound_eq = bound_eq_checks(n, m)
     bound_mult = bound_mults(n, m)
@@ -259,11 +253,6 @@ def _count_row(graph: OrientedGraph, n: int, m: int, kind: str, instance: int) -
     }
 
 
-def random_graph(n: int, m: int, rng: random.Random) -> OrientedGraph:
-    """Uniform endpoints; loops and parallel edges arise naturally."""
-    return OrientedGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
-
-
 def bench_rows(n_grid, m_grid, seed: int, instances: int) -> list[dict]:
     import random
 
@@ -274,7 +263,9 @@ def bench_rows(n_grid, m_grid, seed: int, instances: int) -> list[dict]:
     for n in sorted(set(n_grid)):
         for m in sorted(set(m_grid)):
             for instance in range(instances):
-                rows.append(_count_row(random_graph(n, m, rng), n, m, "random", instance))
+                # Uniform endpoints; loops and parallel edges arise naturally.
+                graph = OrientedGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+                rows.append(_count_row(graph, n, m, "random", instance))
             if n >= 4 and m >= 4:
                 check = verify_nu_ge(n, m)
                 row = _count_row(triploid(check["params"]), n, m, "triploid", instances)

@@ -12,14 +12,15 @@ The pass runs three phases over the reduction the graph lists once
    monoid operation.
 
 The phases read only ``.graph``, ``.monoid`` and ``.labels``, and labels only
-through the monoid's ``identity``/``op``/``eq``; every ``op`` and ``eq`` call
-is counted, and the counters are the report.  The pass stops at the first
-violation and returns a witness for it.  Every run starts from
-``diagram._payload_diagram``: for a monoid of exactly one of the three
-built-in families, the phases read a plain ``_Run(graph, kernel, payloads)``
-view, with no per-call operand check or value object.  Any other monoid, a
-subclass or a wrapper included, runs on the ``Diagram`` as it is.  Witnesses
-hold only edge ids, so no payload leaves the pass.
+through the monoid's ``identity``/``op``/``eq``.  The counters are the report
+and equal the ``op`` and ``eq`` calls made, yet no call is tallied: the two
+reduction phases count from where they stop, the DFS from its search's shape.
+The pass stops at the first violation and returns a witness for it.  Every
+run starts from ``diagram._payload_diagram``: for a monoid of exactly one of
+the three built-in families, the phases read a plain ``_Run(graph, kernel,
+payloads)`` view, with no per-call operand check or value object.  Any other
+monoid, a subclass or a wrapper included, runs on the ``Diagram`` as it is.
+Witnesses hold only edge ids, so no payload leaves the pass.
 
 A relation trace is the same run over M x the free monoid on edge ids: a
 ``_Run`` whose edge e is labeled (label, (e,)), under ``_TracedMonoid``, which
@@ -32,6 +33,8 @@ and its trace cost one string format per entry.
 """
 
 from __future__ import annotations
+
+from operator import length_hint
 
 from .diagram import Diagram, _int_list, _json_list, _payload_diagram, _Run
 from .errors import Frozen, Record
@@ -199,9 +202,10 @@ def remove_loops(diagram: Diagram, counters: Counters):
     eq = diagram.monoid.eq
     one = diagram.monoid.identity()
     for e in diagram.graph.loops:
-        counters.eq_loops += 1
         if not eq(labels[e], one):
+            counters.eq_loops += diagram.graph.loops.index(e) + 1
             return NonIdentityLoop(e)
+    counters.eq_loops += len(diagram.graph.loops)
     return None
 
 
@@ -210,26 +214,29 @@ def remove_multiple_edges(diagram: Diagram, counters: Counters):
     labels = diagram.labels
     eq = diagram.monoid.eq
     for e, kept in diagram.graph.duplicates:
-        counters.eq_multi += 1
         if not eq(labels[e], labels[kept]):
+            counters.eq_multi += diagram.graph.duplicates.index((e, kept)) + 1
             return MultiEdgeMismatch(e, kept)
+    counters.eq_multi += len(diagram.graph.duplicates)
     return None
 
 
 def _tree_path(graph, parent_edge, root: int, vertex: int) -> tuple[int, ...]:
     backwards = []
     while vertex != root:
-        e = parent_edge[vertex]
-        backwards.append(e)
-        vertex = graph.origin(e)
-    backwards.reverse()
-    return tuple(backwards)
+        backwards.append(parent_edge[vertex])
+        vertex = graph.origin(backwards[-1])
+    return tuple(reversed(backwards))
 
 
 def _dfs_all_roots(diagram: Diagram, counters: Counters):
     """Label-checked DFS from every root in ascending order on the reduced
     adjacency.  One set of arrays serves every root: a vertex counts as
-    visited only if its stamp is the current root, so resets are free."""
+    visited only if its stamp is the current root, so resets are free.
+    Each out-edge taken is one ``op``, and one ``eq`` unless it is a tree edge,
+    so no call is tallied: ``mult_dfs`` gains the out-edges of the entered
+    vertices less those still in an iterator at a mismatch, and ``eq_dfs``
+    that less the tree edges.  ``length_hint`` is exact on tuple iterators."""
     graph = diagram.graph
     labels = diagram.labels
     mon = diagram.monoid
@@ -241,40 +248,42 @@ def _dfs_all_roots(diagram: Diagram, counters: Counters):
     visited = [-1] * n
     m_value = [None] * n
     parent_edge = [-1] * n
-    # Each frame holds its vertex and the iterator over its remaining out-edges;
-    # the counts live in locals and reach ``counters`` on every exit.
-    mults = eqs = 0
-    try:
-        for root in range(n):
-            if not adjacency[root]:
-                continue
-            visited[root] = root
-            m_value[root] = mon.identity()
-            stack = [(root, iter(adjacency[root]))]
-            while stack:
-                v, out = stack[-1]
-                value = m_value[v]
-                for e in out:
-                    u = tails[e]
-                    mults += 1
-                    product = op(value, labels[e])
-                    if visited[u] != root:
-                        visited[u] = root
-                        m_value[u] = product
-                        parent_edge[u] = e
-                        stack.append((u, iter(adjacency[u])))
-                        break
-                    eqs += 1
-                    if not eq(m_value[u], product):
-                        stored = _tree_path(graph, parent_edge, root, u)
-                        derived = _tree_path(graph, parent_edge, root, v) + (e,)
-                        return PathMismatch(Path(stored, root, u), Path(derived, root, u))
-                else:
-                    stack.pop()
-        return None
-    finally:
-        counters.mult_dfs += mults
-        counters.eq_dfs += eqs
+    entered = tree = 0
+    for root in range(n):
+        if not adjacency[root]:
+            continue
+        visited[root] = root
+        v, value, out = root, mon.identity(), iter(adjacency[root])
+        m_value[root] = value
+        entered += len(adjacency[root])
+        stack = []  # frames: an ancestor's vertex, m-value and out-edge iterator
+        while True:
+            for e in out:
+                u = tails[e]
+                product = op(value, labels[e])
+                if visited[u] != root:
+                    visited[u] = root
+                    m_value[u] = product
+                    parent_edge[u] = e
+                    stack.append((v, value, out))
+                    v, value, out = u, product, iter(adjacency[u])
+                    entered += len(adjacency[u])
+                    tree += 1
+                    break
+                if not eq(m_value[u], product):
+                    entered -= length_hint(out) + sum(length_hint(frame[2]) for frame in stack)
+                    counters.mult_dfs += entered
+                    counters.eq_dfs += entered - tree
+                    stored = _tree_path(graph, parent_edge, root, u)
+                    derived = _tree_path(graph, parent_edge, root, v) + (e,)
+                    return PathMismatch(Path(stored, root, u), Path(derived, root, u))
+            else:
+                if not stack:
+                    break
+                v, value, out = stack.pop()
+    counters.mult_dfs += entered
+    counters.eq_dfs += entered - tree
+    return None
 
 
 def reduced_edge_count(diagram: Diagram) -> int:

@@ -8,7 +8,8 @@ forms through ``json.dumps``.
 
 Graph references: the reduction ``OrientedGraph`` lists, the structural
 predicates and the counters of a commuting run, each from its definition
-over ``graph.edges`` alone.
+over ``graph.edges`` alone; and the inputs ``bench`` counts on, a graph with
+uniform random endpoints and its identity labeling.
 
 Oracle references: every walk up to a length bound as an edge-id tuple,
 grouped by endpoints, and witness validation written per witness kind.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from diagcheck import (
+    FREE,
     AdditiveNumber,
     BudgetExceededError,
     Counters,
@@ -198,6 +200,18 @@ def predicted_counters(graph: OrientedGraph) -> Counters:
         counters.mult_dfs += reduced_edges
         counters.eq_dfs += reduced_edges - len(reached) + 1
     return counters
+
+
+def random_graph(n: int, m: int, rng) -> OrientedGraph:
+    """``m`` edges with uniform endpoints on ``n`` vertices, drawn in
+    ``bench``'s order; loops and parallel edges arise naturally."""
+    return OrientedGraph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+
+
+def identity_labeled(graph: OrientedGraph) -> Diagram:
+    """``graph`` with the empty free word on every edge.  Every check holds,
+    so a run's counters are the most the graph can produce."""
+    return Diagram(graph, FREE, [FREE.identity()] * graph.edge_count)
 
 
 # ---------------------------------------------------------------------------

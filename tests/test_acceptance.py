@@ -38,10 +38,9 @@ from diagcheck import (
     verify,
     verify_nu_ge,
 )
-from diagcheck.cli import _identity_labeled, random_graph
 
 from .conftest import random_diagram
-from .reference import predicted_counters
+from .reference import identity_labeled, predicted_counters, random_graph
 
 SMALL_SUITE_SEED = 0xD1A6
 SMALL_SUITE_SIZE = 10_000
@@ -98,7 +97,7 @@ def test_criterion_2_count_bounds():
     for n in N_GRID:
         for m in M_GRID:
             for _ in range(2):
-                assert check(_identity_labeled(random_graph(n, m, rng)))
+                assert check(identity_labeled(random_graph(n, m, rng)))
     _announce(2, "COUNT BOUNDS AND EXACT COMMUTING COUNTS (tolerance 0)")
 
 

@@ -178,9 +178,9 @@ _coefficients = st.one_of(st.sampled_from((1, 1, -1, 2)), _entries.filter(bool))
 
 @st.composite
 def _rows(draw, k):
-    # The nonzero counts reach every branch of the row kernel: zero rows, one
-    # or two nonzeros, exactly half zeros and one zero fewer (the two sides of
-    # its threshold), and dense rows.
+    # The nonzero counts give the row kernel every kind of row: zero rows, one
+    # nonzero (b's row reused or scaled), two, about half and all nonzeros (that
+    # many of b's rows combined).
     nonzeros = draw(st.sampled_from(sorted({0, 1, min(2, k), k // 2, k // 2 + 1, k})))
     row = [0] * k
     for t in draw(st.permutations(range(k)))[:nonzeros]:
@@ -243,9 +243,9 @@ _B4 = matrix(((1, -2, 3, 2**64), (0, 5, 0, -7), (2**70, 1, 1, 1), (-1, 0, 0, 9))
 
 @given(_matrix_pairs())
 # One example per kernel: the unrolled k = 2 and k = 3 formulas, and for the
-# row kernel each row branch: a fully dense row, a dense row holding a zero,
+# row kernel each kind of row: a fully dense row, a dense row holding a zero,
 # a zero row, a single coefficient of 1 (b's row reused), a single other
-# coefficient, two nonzeros (exactly half zero), and k = 1.
+# coefficient, two nonzeros, and k = 1.
 @example((matrix(((1, -2), (2**64, 3))), matrix(((0, 5), (-1, 2**65)))))
 @example((matrix(((1, 0, -2), (0, 0, 0), (3, 2**64, 1))), matrix(((2, 1, 0), (0, -1, 4), (5, 0, 2**66)))))
 @example((matrix(((2, -3, 2**64, 5),) * 4), _B4))

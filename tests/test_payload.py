@@ -46,7 +46,7 @@ def _random_value(rng, family):
     if family == "additive":
         return number(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
     k = int(family[3:])
-    # Mostly-zero and dense rows both occur, so ``_mul_rows`` takes both branches.
+    # Mostly-zero and dense rows both occur, so ``_mul_rows`` combines few and many rows.
     density = rng.choice((0.2, 0.5, 1.0))
     return matrix(tuple(
         tuple(rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(k)) for _ in range(k)
@@ -216,8 +216,9 @@ def _naive_product(a, b):
 
 
 def test_mul_rows_takes_sparse_and_dense_rows():
-    # Row 0 is dense, row 1 has one entry of 1 (a shared row of b), row 2
-    # one entry of 3, row 3 is zero.
+    # One row strategy serves every kind of row: row 0 is dense (all of b's
+    # rows combined), row 1 has one entry of 1 (a shared row of b), row 2 one
+    # entry of 3, row 3 is zero.
     a = ((1, 2, 3, 4), (0, 0, 1, 0), (0, 3, 0, 0), (0, 0, 0, 0))
     b = ((1, 0, 2, 0), (0, -1, 0, 5), (7, 0, 0, 1), (2, 2, 2, 2))
     assert _mul_rows(a, b) == _naive_product(a, b)

@@ -39,7 +39,6 @@ from diagcheck import (
     zero_matrix,
 )
 from diagcheck import verifier as verifier_module
-from diagcheck.cli import _identity_labeled, random_graph
 from diagcheck.verifier import (
     reduced_edge_count,
     remove_loops,
@@ -47,7 +46,7 @@ from diagcheck.verifier import (
 )
 
 from .conftest import boxed_diagram, kirchhoff_square, random_diagram, triangle_graph
-from .reference import predicted_counters, trace_to_dict
+from .reference import identity_labeled, predicted_counters, random_graph, trace_to_dict
 
 
 def test_remove_loops_drops_identity_loops():
@@ -207,9 +206,9 @@ def test_counters_equal_the_graph_prediction_on_commuting_runs():
             commuting += 1
     assert commuting > 150
     for n, m in ((5, 25), (16, 64), (40, 200), (11, 16)):
-        d = _identity_labeled(random_graph(n, m, rng))
+        d = identity_labeled(random_graph(n, m, rng))
         assert verify(d).counters == predicted_counters(d.graph)
-    d = _identity_labeled(triploid(TriploidParams(3, 2, 4, 2, 16)))
+    d = identity_labeled(triploid(TriploidParams(3, 2, 4, 2, 16)))
     assert verify(d).counters == predicted_counters(d.graph)
 
 
@@ -425,6 +424,110 @@ def test_counters_are_flushed_on_a_deep_early_exit():
         assert traced.counters == plain.counters
         assert len(traced.trace.products) == plain.mult_total
         assert len(traced.trace.relations) == plain.eq_total
+
+
+def _tree_edges(graph, root: int) -> set:
+    """The tree edges of a full search from ``root`` on ``graph.reduced``."""
+    seen, tree = {root}, set()
+
+    def visit(v):
+        for e in graph.reduced[v]:
+            u = graph.tails[e]
+            if u not in seen:
+                seen.add(u)
+                tree.add(e)
+                visit(u)
+
+    visit(root)
+    return tree
+
+
+def _stop_kinds(graph, witness) -> set:
+    """Where the run stopped, by phase and, in the DFS, by the state of the
+    search at the failing edge e out of the current vertex v."""
+    if isinstance(witness, NonIdentityLoop):
+        return {"loop phase"}
+    if isinstance(witness, MultiEdgeMismatch):
+        return {"multi-edge phase"}
+    if witness is None:
+        return {"no stop"}
+    edges, root = witness.path2.edges, witness.path2.origin
+    v = graph.origin(edges[-1])
+    out = graph.reduced[v]
+    at = out.index(edges[-1])
+    kinds = {"deep stack"} if len(edges) > 16 else set()
+    if v == root:
+        kinds.add("root's own frame")
+    if root > min(r for r in range(graph.vertex_count) if graph.reduced[r]):
+        kinds.add("later root")
+    if at and out[at - 1] in _tree_edges(graph, root):
+        kinds.add("right after a return")
+    if at == len(out) - 1:
+        kinds.add("last out-edge of a frame")
+    return kinds
+
+
+def _sweep_graphs():
+    """(graph, monoid, commuting labels, bump) cases whose edges are bumped in turn."""
+    rng = random.Random(24)
+    for _ in range(30):
+        graph = random_graph(rng.randint(2, 7), rng.randint(4, 16), rng)
+        phi = [rng.randint(-9, 9) for _ in range(graph.vertex_count)]
+        yield graph, ADDITIVE, [number(phi[t] - phi[o]) for o, t in graph.edges], number(1)
+        yield graph, FREE, [word()] * graph.edge_count, word(1)
+    graph = strip_loops(triploid(TriploidParams(3, 2, 4, 2, 16)))
+    yield graph, FREE, [word()] * graph.edge_count, word(0)
+    # A 40-vertex path taken first, so the search stacks 39 frames, then
+    # chords checked on the way back up and one back edge closing a cycle.
+    chords = [(i, j) for i in range(0, 36, 5) for j in (i + 2, i + 4)]
+    graph = build(40, [(i, i + 1) for i in range(39)] + chords + [(39, 0)])
+    yield graph, FREE, [word()] * graph.edge_count, word(2)
+
+
+def test_counts_equal_the_calls_at_every_stop_position():
+    # The DFS derives its counts from the search's shape and the reduction
+    # phases from their stopping position; bumping each edge of each graph
+    # in turn stops the run at every kind of place, and at each one the
+    # counting monoid must have made exactly the reported calls.
+    seen = set()
+    for graph, monoid, labels, bump in _sweep_graphs():
+        for e in range(graph.edge_count):
+            twin = list(labels)
+            twin[e] = monoid.op(labels[e], bump)
+            d = Diagram(graph, monoid, twin)
+            plain = verify(d)
+            boxed, counting = boxed_diagram(d)
+            report = verify(boxed)
+            assert report.witness == plain.witness, (graph.edges, e)
+            assert report.counters == plain.counters == verify(d, trace=True).counters
+            assert counting.op_calls == plain.mult_total
+            assert counting.eq_calls == plain.eq_total
+            c, witness = plain.counters, plain.witness
+            loops, duplicates = graph.loops, graph.duplicates
+            if isinstance(witness, NonIdentityLoop):
+                assert (c.eq_loops, c.eq_multi, c.mult_dfs) == (loops.index(witness.edge) + 1, 0, 0)
+            elif isinstance(witness, MultiEdgeMismatch):
+                at = duplicates.index((witness.edge, witness.kept))
+                assert (c.eq_loops, c.eq_multi, c.mult_dfs) == (len(loops), at + 1, 0)
+            else:
+                assert (c.eq_loops, c.eq_multi) == (len(loops), len(duplicates))
+            last = graph.vertex_count - 1
+            if isinstance(witness, PathMismatch):
+                last = witness.path1.origin
+            elif witness is not None:
+                last = -1
+            assert counting.identity_calls == 1 + sum(1 for v in range(last + 1) if graph.reduced[v])
+            seen |= _stop_kinds(graph, witness)
+    assert seen == {
+        "loop phase",
+        "multi-edge phase",
+        "no stop",
+        "deep stack",
+        "root's own frame",
+        "later root",
+        "right after a return",
+        "last out-edge of a frame",
+    }
 
 
 def test_report_with_a_foreign_witness_does_not_serialize():
