@@ -87,19 +87,17 @@ _PAYLOAD_FAMILIES = (FreeMonoid, AdditiveMonoid, MatrixMonoid)
 
 
 def _payload_diagram(diagram: Diagram) -> _Run | Diagram:
-    """``diagram``'s graph, its family's payload kernel and payload labels as a
-    ``_Run``, when its monoid is exactly one of the three built-in families;
-    ``diagram`` itself otherwise.  ``Diagram`` checked the labels, and each
-    family is closed under its operation, so nothing is checked again."""
+    """``diagram``'s graph, its run kernel and the labels' payloads under it as
+    a ``_Run``, when its monoid is exactly one of the three built-in families;
+    ``diagram`` itself otherwise.  The monoid's ``_run`` picks the kernel: the
+    family's own payload kernel, except that additive labels whose common
+    denominator is small enough run as integers over it.  ``Diagram`` checked
+    the labels, and each kernel is closed under its operation, so nothing is
+    checked again."""
     monoid = diagram.monoid
     if type(monoid) not in _PAYLOAD_FAMILIES:
         return diagram
-    kernel = monoid._kernel
-    # A list: ``tuple(map(...))`` builds its tuple by resizing a 10-slot one,
-    # and CPython keeps each freed tuple of fewer than 20 slots on a free list
-    # for its size, so one more would stay allocated per call, up to 2,000
-    # per edge count.
-    return _Run(diagram.graph, kernel, list(map(kernel.payload, diagram.labels)))
+    return _Run(diagram.graph, *monoid._run(diagram.labels))
 
 
 def label_of_sequence(diagram: Diagram, edge_ids):

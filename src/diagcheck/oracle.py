@@ -25,8 +25,8 @@ def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WAL
     per extension) and compares it with the first walk that reached the same
     vertex.  Every walk counts against ``budget``, the empty one at each start
     included; past it the call raises ``BudgetExceededError``.  The bound and
-    the budget must be non-negative integers.  A built-in family runs on its
-    payload kernel, as in ``verify``.
+    the budget must be non-negative integers.  A built-in family runs on the
+    payload kernel ``verify`` runs it on.
     """
     require_count(length_bound, "length bound")
     require_count(budget, "walk budget")
@@ -72,8 +72,8 @@ def validate_witness(diagram: Diagram, witness) -> bool:
     Semantically wrong witnesses (a non-loop in NonIdentityLoop, an edge
     paired with itself or a loop in MultiEdgeMismatch, mismatched endpoints,
     equal labels) return False; structurally malformed ones (unknown type,
-    out-of-range edge ids) raise.  A built-in family runs on its payload
-    kernel, as in ``verify``.
+    out-of-range edge ids) raise.  A built-in family runs on the payload
+    kernel ``verify`` runs it on.
     """
     diagram = _payload_diagram(diagram)
     graph = diagram.graph

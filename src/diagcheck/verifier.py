@@ -18,8 +18,11 @@ reduction phases count from where they stop, the DFS from its search's shape.
 The pass stops at the first violation and returns a witness for it.  Every
 run starts from ``diagram._payload_diagram``: for a monoid of exactly one of
 the three built-in families, the phases read a plain ``_Run(graph, kernel,
-payloads)`` view, with no per-call operand check or value object.  Any other
-monoid, a subclass or a wrapper included, runs on the ``Diagram`` as it is.
+payloads)`` view, with no per-call operand check or value object.  The
+kernel is the family's own, or for additive labels with a small enough
+common denominator the integers under addition, the labels scaled by that
+denominator.  Any other monoid, a subclass or a wrapper included, runs on
+the ``Diagram`` as it is.
 Witnesses hold only edge ids, so no payload leaves the pass.
 
 A relation trace is the same run over M x the free monoid on edge ids: a

@@ -32,6 +32,7 @@ from diagcheck import (
     word,
     zero_matrix,
 )
+from diagcheck.monoid import _INT_SUM
 
 
 def test_identities():
@@ -309,6 +310,30 @@ def test_additive_kernel_is_normalized_fraction_addition(x, y):
     assert product == number(x + y) and hash(product) == hash(number(x + y))
     assert ADDITIVE.eq(product, number(x + y))
     assert ADDITIVE.eq(a, b) == (Fraction(x) == Fraction(y))
+
+
+# Denominators up to 2**70, so three of them have a common multiple far
+# below the cap and every run of them scales.
+_scalable_operands = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    _signed_big,
+    st.builds(Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=12)),
+    st.builds(Fraction, _signed_big, st.integers(min_value=1, max_value=2**70)),
+)
+
+
+@given(_scalable_operands, st.one_of(_scalable_operands, st.just(None)))
+@example(Fraction(1, 6), Fraction(1, 6))
+@example(Fraction(1, 6), Fraction(2, 12))
+@example(Fraction(-5, 12), Fraction(5, 12))
+@example(Fraction(1, 2**70), Fraction(1, 2**70 - 1))
+def test_additive_run_scaling_is_additive_and_injective(x, y):
+    y = x if y is None else y
+    labels = [number(x), number(y), number(x + y), ADDITIVE.identity()]
+    kernel, (sx, sy, sxy, zero) = ADDITIVE._run(labels)
+    assert kernel is _INT_SUM
+    assert kernel.op(sx, sy) == sxy and zero == kernel.identity() == 0
+    assert kernel.eq(sx, sy) is (Fraction(x) == Fraction(y))
 
 
 @pytest.mark.parametrize("value", [word(1, 2), number(Fraction(-3, 4)), matrix(((1, 2), (3, 4)))])

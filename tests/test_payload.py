@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,8 +23,19 @@ from diagcheck import (
     verify,
     word,
 )
+from diagcheck import monoid as monoid_module
 from diagcheck.diagram import _payload_diagram
-from diagcheck.monoid import AdditiveMonoid, FreeMonoid, MatrixMonoid, _add_pairs, _mul_rows
+from diagcheck.graph import Path
+from diagcheck.monoid import (
+    _INT_SUM,
+    _SCALE_CAP_BITS,
+    AdditiveMonoid,
+    FreeMonoid,
+    MatrixMonoid,
+    _add_pairs,
+    _mul_rows,
+)
+from diagcheck.verifier import PathMismatch
 
 from .conftest import boxed_diagram
 
@@ -117,7 +129,8 @@ def test_payload_path_reports_match_the_boxed_path(family, kind):
     verdicts = set()
     for seed in range(40):
         d = _differential_diagram(seed, family, kind, max_vertices=8, max_edges=20)
-        assert _payload_diagram(d).monoid is d.monoid._kernel
+        # An additive run adds integers over its labels' common denominator.
+        assert _payload_diagram(d).monoid is (_INT_SUM if family == "additive" else d.monoid._kernel)
         report = verify(d)
         boxed, counting = boxed_diagram(d)
         boxed_report = verify(boxed)
@@ -208,6 +221,115 @@ def test_additive_kernel_identity_and_eq():
     assert kernel.identity() == kernel.payload(ADDITIVE.identity()) == (0, 1)
     assert kernel.eq(kernel.payload(number(Fraction(2, 4))), kernel.payload(number(Fraction(1, 2))))
     assert not kernel.eq(kernel.payload(number(Fraction(1, 2))), kernel.payload(number(Fraction(-1, 2))))
+
+
+# ---------------------------------------------------------------------------
+# Additive runs on integers over the labels' common denominator L
+
+
+def _assert_runs_match_the_boxed_path(d):
+    """``verify`` (plain and traced), ``oracle_verify`` and ``validate_witness``
+    give on ``d`` what they give on its boxed copy, byte for byte."""
+    boxed = boxed_diagram(d)[0]
+    report = verify(d)
+    assert report.to_json() == verify(boxed).to_json()
+    assert verify(d, trace=True).to_json() == verify(boxed, trace=True).to_json()
+    n = d.graph.vertex_count
+    assert oracle_verify(d, n) is oracle_verify(boxed, n) is report.commutative
+    if report.witness is not None:
+        assert validate_witness(d, report.witness) is validate_witness(boxed, report.witness) is True
+    return report
+
+
+# Mersenne prime exponents p: with one vertex per p, the labels' common
+# denominator L is the product of the primes 2^p - 1, of 4,095 bits, 4,096
+# bits (the cap, still scaled) and 4,097 bits (past it).
+_CAP_CASES = [
+    ((2203, 1279, 521, 89, 3), 4095),
+    ((3217, 607, 127, 107, 31, 7), 4096),
+    ((2203, 1279, 521, 89, 3, 2), 4097),
+]
+
+
+def _prime_potential_diagram(exponents, planted):
+    """The potential labeling phi(t) - phi(o), phi(v) = 1/(2^p_v - 1), on a
+    path through every vertex, a shortcut from vertex 0 to each later one, a
+    loop and a parallel edge; ``planted`` adds 1 to the last shortcut's label."""
+    n = len(exponents)
+    phi = [Fraction(1, 2**p - 1) for p in exponents]
+    edges = [(v, v + 1) for v in range(n - 1)] + [(0, v) for v in range(2, n)] + [(1, 1), (0, 1)]
+    labels = [number(phi[t] - phi[o]) for o, t in edges]
+    if planted:
+        shortcut = edges.index((0, n - 1))
+        labels[shortcut] = number(labels[shortcut].value + 1)
+    return Diagram(OrientedGraph(n, edges), ADDITIVE, labels)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["commuting", "planted"])
+@pytest.mark.parametrize("exponents, bits", _CAP_CASES, ids=[f"{bits}-bits" for _, bits in _CAP_CASES])
+def test_additive_runs_scale_up_to_the_cap(exponents, bits, planted):
+    d = _prime_potential_diagram(exponents, planted)
+    assert lcm(*(label.den for label in d.labels)).bit_length() == bits
+    run = _payload_diagram(d)
+    if bits <= _SCALE_CAP_BITS:
+        assert run.monoid is _INT_SUM
+        assert all(type(x) is int for x in run.labels)
+    else:
+        assert run.monoid is ADDITIVE._kernel
+        assert run.labels == [(label.num, label.den) for label in d.labels]
+    report = _assert_runs_match_the_boxed_path(d)
+    assert report.commutative is not planted
+    if not planted:
+        # Two paths with equal labels are no witness, on either path.
+        n = len(exponents)
+        along = Path(tuple(range(n - 1)), 0, n - 1)
+        across = Path((d.graph.edges.index((0, n - 1)),), 0, n - 1)
+        assert validate_witness(d, PathMismatch(along, across)) is False
+        assert validate_witness(boxed_diagram(d)[0], PathMismatch(along, across)) is False
+
+
+def test_additive_runs_without_fractions_add_the_numerators():
+    edgeless = Diagram(OrientedGraph(3, []), ADDITIVE, [])
+    assert _payload_diagram(edgeless) == (edgeless.graph, _INT_SUM, [])
+    assert _assert_runs_match_the_boxed_path(edgeless).commutative is True
+    graph = OrientedGraph(3, [(0, 1), (1, 2), (0, 2), (2, 2), (0, 2)])
+    for labels, commutative in (([2, -5, -3, 0, -3], True), ([2, -5, 10**30, 0, 10**30], False)):
+        d = Diagram(graph, ADDITIVE, [number(x) for x in labels])
+        run = _payload_diagram(d)
+        assert run.monoid is _INT_SUM and run.labels == labels
+        assert _assert_runs_match_the_boxed_path(d).commutative is commutative
+
+
+def _primes(count):
+    """The first ``count`` primes, by a sieve up to the 20,000th's 224,737."""
+    limit = 224_738
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    primes = [p for p in range(limit) if sieve[p]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def test_many_distinct_denominators_keep_the_pair_kernel_after_few_lcm_steps(monkeypatch):
+    # A star of 20,000 edges, edge i labeled 1/p_i for the i-th prime: L would
+    # have over 300,000 bits.  The lcm stops once it passes the cap, within a
+    # few hundred steps whatever order the set of denominators takes.
+    primes = _primes(20_000)
+    star = OrientedGraph(len(primes) + 1, [(0, v) for v in range(1, len(primes) + 1)])
+    d = Diagram(star, ADDITIVE, [number(Fraction(1, p)) for p in primes])
+    steps = []
+    real_lcm = monoid_module.lcm
+    monkeypatch.setattr(monoid_module, "lcm", lambda a, b: steps.append(b) or real_lcm(a, b))
+    run = _payload_diagram(d)
+    assert run.monoid is ADDITIVE._kernel
+    assert run.labels == [(1, p) for p in primes]
+    # Any 430 distinct primes multiply to at least the product of the 430
+    # primes below 3,000, which has 4,231 bits.
+    assert len(steps) <= 430
+    assert verify(d).to_json() == verify(boxed_diagram(d)[0]).to_json()
 
 
 def _naive_product(a, b):
