@@ -5,8 +5,9 @@ Exit codes: 0 on success (for verify/oracle: the diagram commutes), 1 when a
 diagram is verified non-commutative (the report is still emitted), 2 on
 usage, parse, or budget errors, an unreadable input file, or an output file
 that cannot be written.  Identical inputs and seeds produce byte-identical
-output.  Still open: verify/oracle on a non-UTF-8 or deeply nested document
-exit 1 with a traceback.
+output.  Still open: verify/oracle on a non-UTF-8 or deeply nested document,
+and gen/fixtures/rhomboids on a deeply nested --graph file, exit 1 with a
+traceback.
 
 The module level imports only what ``verify`` runs.  The other subcommands
 import ``constructions``, ``adversarial``, ``oracle``, ``csv`` and ``random``

@@ -155,9 +155,10 @@ def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = DEFAULT_RHOMBO
 
     A lower-bound certificate for the best possible family, not a maximizer.
     Within each adjacency list edge ids ascend, so the four nested scans
-    below enumerate candidate tuples in lexicographic order.  Each step of the
-    innermost scan counts against ``budget``, a non-negative integer; past it
-    the call raises ``BudgetExceededError``.
+    below enumerate candidate tuples in lexicographic order.  Every step of
+    the ``b``, ``c`` and ``d`` scans counts against ``budget``, a non-negative
+    integer: each scan adds its length before it starts, and the call raises
+    ``BudgetExceededError`` instead of starting one that passes the budget.
     """
     require_count(budget, "rhomboid enumeration budget")
     tail = graph.tail
@@ -167,22 +168,27 @@ def greedy_disjoint_rhomboids(graph: OrientedGraph, budget: int = DEFAULT_RHOMBO
     # of its side pairs (a, b) and (c, d) is a side pair of a chosen one.
     used_sides: set[tuple[int, int]] = set()
     steps = 0
+
+    def scan(edges):
+        nonlocal steps
+        steps += len(edges)
+        if steps > budget:
+            raise BudgetExceededError(f"rhomboid enumeration budget of {budget} exceeded")
+        return edges
+
     for a in range(graph.edge_count):
         x, y = graph.edges[a]
         if x == y:
             continue
-        for b in adjacency[y]:
+        for b in scan(adjacency[y]):
             w = tail(b)
             if w == y or w == x:
                 continue
-            for c in adjacency[x]:
+            for c in scan(adjacency[x]):
                 z = tail(c)
                 if z == x or z == y or z == w:
                     continue
-                for d in adjacency[z]:
-                    steps += 1
-                    if steps > budget:
-                        raise BudgetExceededError(f"rhomboid enumeration budget of {budget} exceeded")
+                for d in scan(adjacency[z]):
                     if tail(d) != w:
                         continue
                     if (a, b) not in used_sides and (c, d) not in used_sides:

@@ -54,9 +54,10 @@ class DiagramFormatError(ValueError):
 
 
 class Diagram(Frozen):
-    """An oriented graph labeled edge-by-edge from one monoid instance."""
+    """An oriented graph labeled edge-by-edge from one monoid instance; ``_run`` holds its run view."""
 
-    __slots__ = __match_args__ = ("graph", "monoid", "labels")
+    __slots__ = ("graph", "monoid", "labels", "_run")
+    __match_args__ = ("graph", "monoid", "labels")
 
     def __init__(self, graph: OrientedGraph, monoid, labels):
         labels = tuple(labels)
@@ -68,6 +69,8 @@ class Diagram(Frozen):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "labels", labels)
+        run = monoid._run(labels) if type(monoid) in _PAYLOAD_FAMILIES else (monoid, labels)
+        object.__setattr__(self, "_run", _Run(graph, *run))
 
     def __repr__(self):
         descriptor = getattr(self.monoid, "descriptor", None)
@@ -76,7 +79,9 @@ class Diagram(Frozen):
 
 
 class _Run(namedtuple("_Run", "graph monoid labels")):
-    """What a run reads of a diagram: graph, ``identity``/``op``/``eq``, labels."""
+    """What a run reads of a diagram, built once by ``Diagram(...)``: the graph,
+    an ``identity``/``op``/``eq`` surface and the labels.  For a built-in family
+    these are the kernel its ``_run`` picks and the labels' payloads under it."""
 
     __slots__ = ()
 
@@ -84,20 +89,6 @@ class _Run(namedtuple("_Run", "graph monoid labels")):
 # Exactly these types: a subclass may override ``op``/``eq``, and a wrapper
 # that forwards unknown attributes would expose its inner ``_kernel``.
 _PAYLOAD_FAMILIES = (FreeMonoid, AdditiveMonoid, MatrixMonoid)
-
-
-def _payload_diagram(diagram: Diagram) -> _Run | Diagram:
-    """``diagram``'s graph, its run kernel and the labels' payloads under it as
-    a ``_Run``, when its monoid is exactly one of the three built-in families;
-    ``diagram`` itself otherwise.  The monoid's ``_run`` picks the kernel: the
-    family's own payload kernel, except that additive labels whose common
-    denominator is small enough run as integers over it.  ``Diagram`` checked
-    the labels, and each kernel is closed under its operation, so nothing is
-    checked again."""
-    monoid = diagram.monoid
-    if type(monoid) not in _PAYLOAD_FAMILIES:
-        return diagram
-    return _Run(diagram.graph, *monoid._run(diagram.labels))
 
 
 def label_of_sequence(diagram: Diagram, edge_ids):

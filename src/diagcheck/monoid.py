@@ -9,17 +9,17 @@ and no tolerance parameter exists anywhere in the package.
 Each family's arithmetic is written once, as a kernel on the raw payload a
 value holds (a free word's ``letters``, an additive number's ``(num, den)``
 pair, a matrix's ``entries``): ``_kernel`` is the family's monoid on
-payloads, with no operand check.  ``verify``, ``oracle_verify`` and
-``validate_witness`` run on the kernel an instance's ``_run`` picks once a
-``Diagram`` has checked every label: the family's own, except that an
-additive run whose labels have a common denominator L of at most
-``_SCALE_CAP_BITS`` bits adds plain integers, each label num/den scaled to
-num * (L // den).  Values are immutable and know their monoid instance;
-instances are small descriptor objects exposing ``identity``, ``op`` and
-``eq``, and the one ``op``/``eq`` they share is a checked adapter over the
-family's kernel: it checks both operands, runs the kernel on their payloads
-and boxes the result.  Because values are immutable, ``op`` may return one
-of its operands: ``FREE.op`` returns the other word when one word is empty.
+payloads, with no operand check.  ``Diagram(...)`` calls an instance's
+``_run`` once, on its checked labels, and every run computes on the kernel
+it picks: the family's own, except that an additive run whose labels have a
+common denominator L of at most ``_SCALE_CAP_BITS`` bits adds plain
+integers, each label num/den scaled to num * (L // den).  Values are
+immutable and know their monoid instance; instances are small descriptor
+objects exposing ``identity``, ``op`` and ``eq``, and the one ``op``/``eq``
+they share is a checked adapter over the family's kernel: it checks both
+operands, runs the kernel on their payloads and boxes the result.  Because
+values are immutable, ``op`` may return one of its operands: ``FREE.op``
+returns the other word when one word is empty.
 Each matrix instance picks its product kernel once, by k: unrolled formulas
 for k = 2 and 3, and for any other k a row-by-row product that combines the
 right operand's rows at each left row's nonzero entries.
@@ -129,7 +129,7 @@ class IntMatrix(Frozen):
 # construction: products of valid values (each family is closed under its
 # operation), the negation of a normalized pair, and the payloads
 # ``diagram``'s parser has checked entry by entry (exact-``int`` tuples and
-# normalized pairs).
+# normalized pairs).  They are module-level functions so that kernels pickle.
 
 _new = object.__new__
 _set_letters = FreeWord.letters.__set__
@@ -149,6 +149,10 @@ def _additive(num: int, den: int) -> AdditiveNumber:
     _set_num(value, num)
     _set_den(value, den)
     return value
+
+
+def _additive_pair(pair: tuple) -> AdditiveNumber:
+    return _additive(*pair)
 
 
 def _int_matrix(entries: tuple) -> IntMatrix:
@@ -323,7 +327,7 @@ class AdditiveMonoid(_Monoid):
     _one = AdditiveNumber(0)
     _value_class = AdditiveNumber
     _noun = "an additive number"
-    _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"), lambda p: _additive(*p))
+    _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"), _additive_pair)
 
     def _run(self, labels):
         """Integers, when the labels' denominators have a common multiple L of

@@ -11,7 +11,7 @@ refuses (rather than truncates) work past its budget.
 
 from __future__ import annotations
 
-from .diagram import Diagram, _payload_diagram, label_of_sequence
+from .diagram import Diagram, label_of_sequence
 from .errors import DEFAULT_WALK_BUDGET, BudgetExceededError, require_count
 from .graph import Path, is_valid_path, require_edge
 from .verifier import MultiEdgeMismatch, NonIdentityLoop, PathMismatch
@@ -25,12 +25,12 @@ def oracle_verify(diagram: Diagram, length_bound: int, budget: int = DEFAULT_WAL
     per extension) and compares it with the first walk that reached the same
     vertex.  Every walk counts against ``budget``, the empty one at each start
     included; past it the call raises ``BudgetExceededError``.  The bound and
-    the budget must be non-negative integers.  A built-in family runs on the
-    payload kernel ``verify`` runs it on.
+    the budget must be non-negative integers.  It reads the diagram's
+    ``_run``, the view ``Diagram(...)`` built once and ``verify`` reads.
     """
     require_count(length_bound, "length bound")
     require_count(budget, "walk budget")
-    diagram = _payload_diagram(diagram)
+    diagram = diagram._run
     graph = diagram.graph
     labels = diagram.labels
     mon = diagram.monoid
@@ -72,10 +72,10 @@ def validate_witness(diagram: Diagram, witness) -> bool:
     Semantically wrong witnesses (a non-loop in NonIdentityLoop, an edge
     paired with itself or a loop in MultiEdgeMismatch, mismatched endpoints,
     equal labels) return False; structurally malformed ones (unknown type,
-    out-of-range edge ids) raise.  A built-in family runs on the payload
-    kernel ``verify`` runs it on.
+    out-of-range edge ids) raise.  It reads the diagram's ``_run``, the
+    view ``Diagram(...)`` built once and ``verify`` reads.
     """
-    diagram = _payload_diagram(diagram)
+    diagram = diagram._run
     graph = diagram.graph
     if isinstance(witness, NonIdentityLoop):
         e = witness.edge

@@ -16,14 +16,11 @@ through the monoid's ``identity``/``op``/``eq``.  The counters are the report
 and equal the ``op`` and ``eq`` calls made, yet no call is tallied: the two
 reduction phases count from where they stop, the DFS from its search's shape.
 The pass stops at the first violation and returns a witness for it.  Every
-run starts from ``diagram._payload_diagram``: for a monoid of exactly one of
-the three built-in families, the phases read a plain ``_Run(graph, kernel,
-payloads)`` view, with no per-call operand check or value object.  The
-kernel is the family's own, or for additive labels with a small enough
-common denominator the integers under addition, the labels scaled by that
-denominator.  Any other monoid, a subclass or a wrapper included, runs on
-the ``Diagram`` as it is.
-Witnesses hold only edge ids, so no payload leaves the pass.
+run reads the ``_Run`` view ``Diagram(...)`` built once: for a monoid of
+exactly one of the three built-in families, its payload kernel and the
+labels' payloads, with no per-call operand check or value object; for any
+other monoid, that monoid and the labels.  Witnesses hold only edge ids, so
+no payload leaves the pass.
 
 A relation trace is the same run over M x the free monoid on edge ids: a
 ``_Run`` whose edge e is labeled (label, (e,)), under ``_TracedMonoid``, which
@@ -39,7 +36,7 @@ from __future__ import annotations
 
 from operator import length_hint
 
-from .diagram import Diagram, _int_list, _json_list, _payload_diagram, _Run
+from .diagram import Diagram, _int_list, _json_list, _Run
 from .errors import Frozen, Record
 from .graph import Path
 
@@ -304,7 +301,7 @@ def verify(diagram: Diagram, trace: bool = False) -> VerificationReport:
     """
     relation_trace = RelationTrace() if trace else None
     counters = Counters()
-    run = _payload_diagram(diagram)
+    run = diagram._run
     if trace:
         traced = _TracedMonoid(run.monoid, relation_trace)
         run = _Run(run.graph, traced, [(label, (e,)) for e, label in enumerate(run.labels)])

@@ -38,7 +38,6 @@ from diagcheck import (
     is_valid_path,
     label_of_sequence,
 )
-from diagcheck.diagram import _payload_diagram
 from diagcheck.errors import require_count
 from diagcheck.graph import require_edge
 from diagcheck.oracle import DEFAULT_WALK_BUDGET
@@ -264,7 +263,7 @@ def validate_witness(diagram: Diagram, witness) -> bool:
     path endpoints, equal labels) return False; structurally malformed ones
     (unknown type, out-of-range edge ids) raise.
     """
-    diagram = _payload_diagram(diagram)
+    diagram = diagram._run
     graph = diagram.graph
     mon = diagram.monoid
     if isinstance(witness, NonIdentityLoop):

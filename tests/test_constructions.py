@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -162,8 +163,9 @@ def test_middle_row_size_is_the_least_t_satisfying_its_predicate():
 
 def _first_fit_reference(graph):
     """Every rhomboid in ascending (a, b, c, d) order, kept when pairwise
-    disjoint from those kept before, plus the number of (a, b, c, d)
-    prefixes the greedy scan steps through."""
+    disjoint from those kept before, plus the number of steps the greedy's
+    b, c and d scans take: one per (a, b), (a, b, c) and (a, b, c, d) prefix
+    whose own prefix passed the greedy's filters."""
     edges = range(graph.edge_count)
     origin, tail = graph.origin, graph.tail
     chosen = []
@@ -172,8 +174,10 @@ def _first_fit_reference(graph):
         x, y = graph.edges[a]
         for b in (b for b in edges if origin(b) == y):
             w = tail(b)
+            steps += x != y
             for c in (c for c in edges if origin(c) == x):
                 z = tail(c)
+                steps += x != y and w not in (x, y)
                 for d in (d for d in edges if origin(d) == z):
                     if x != y and w not in (x, y) and z not in (x, y, w):
                         steps += 1
@@ -214,6 +218,27 @@ def test_greedy_rhomboid_free_graph_is_empty():
 def test_greedy_on_conflicting_squares_keeps_one():
     graph = build(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     assert len(greedy_disjoint_rhomboids(graph)) == 1
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [(2, [(0, 1)] * 2000 + [(1, 0)] * 2000), (3, [(0, 1)] * 4000 + [(1, 2)])],
+    ids=["b-scan", "c-scan"],
+)
+def test_greedy_budget_bounds_the_scans_that_find_no_candidate(n, pairs):
+    # Every b step of the first graph, and every c step of the second, fails
+    # the greedy's filters, so no d scan starts: Θ(k²) steps, no rhomboid.
+    graph = build(n, pairs)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="budget of 1000 exceeded"):
+        greedy_disjoint_rhomboids(graph, budget=1000)
+    assert time.perf_counter() - start < 0.5
+    small = build(n, pairs[:6] + pairs[-6:])
+    expected, steps = _first_fit_reference(small)
+    assert expected == [] and steps > 50
+    assert greedy_disjoint_rhomboids(small, budget=steps) == []
+    with pytest.raises(BudgetExceededError):
+        greedy_disjoint_rhomboids(small, budget=steps - 1)
 
 
 def test_greedy_budget_error():

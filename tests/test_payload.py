@@ -3,7 +3,9 @@ families on, against the boxed ``op``/``eq`` and against the boxed path."""
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -24,7 +26,6 @@ from diagcheck import (
     word,
 )
 from diagcheck import monoid as monoid_module
-from diagcheck.diagram import _payload_diagram
 from diagcheck.graph import Path
 from diagcheck.monoid import (
     _INT_SUM,
@@ -130,7 +131,7 @@ def test_payload_path_reports_match_the_boxed_path(family, kind):
     for seed in range(40):
         d = _differential_diagram(seed, family, kind, max_vertices=8, max_edges=20)
         # An additive run adds integers over its labels' common denominator.
-        assert _payload_diagram(d).monoid is (_INT_SUM if family == "additive" else d.monoid._kernel)
+        assert d._run.monoid is (_INT_SUM if family == "additive" else d.monoid._kernel)
         report = verify(d)
         boxed, counting = boxed_diagram(d)
         boxed_report = verify(boxed)
@@ -270,7 +271,7 @@ def _prime_potential_diagram(exponents, planted):
 def test_additive_runs_scale_up_to_the_cap(exponents, bits, planted):
     d = _prime_potential_diagram(exponents, planted)
     assert lcm(*(label.den for label in d.labels)).bit_length() == bits
-    run = _payload_diagram(d)
+    run = d._run
     if bits <= _SCALE_CAP_BITS:
         assert run.monoid is _INT_SUM
         assert all(type(x) is int for x in run.labels)
@@ -290,12 +291,12 @@ def test_additive_runs_scale_up_to_the_cap(exponents, bits, planted):
 
 def test_additive_runs_without_fractions_add_the_numerators():
     edgeless = Diagram(OrientedGraph(3, []), ADDITIVE, [])
-    assert _payload_diagram(edgeless) == (edgeless.graph, _INT_SUM, [])
+    assert edgeless._run == (edgeless.graph, _INT_SUM, [])
     assert _assert_runs_match_the_boxed_path(edgeless).commutative is True
     graph = OrientedGraph(3, [(0, 1), (1, 2), (0, 2), (2, 2), (0, 2)])
     for labels, commutative in (([2, -5, -3, 0, -3], True), ([2, -5, 10**30, 0, 10**30], False)):
         d = Diagram(graph, ADDITIVE, [number(x) for x in labels])
-        run = _payload_diagram(d)
+        run = d._run
         assert run.monoid is _INT_SUM and run.labels == labels
         assert _assert_runs_match_the_boxed_path(d).commutative is commutative
 
@@ -319,11 +320,13 @@ def test_many_distinct_denominators_keep_the_pair_kernel_after_few_lcm_steps(mon
     # few hundred steps whatever order the set of denominators takes.
     primes = _primes(20_000)
     star = OrientedGraph(len(primes) + 1, [(0, v) for v in range(1, len(primes) + 1)])
-    d = Diagram(star, ADDITIVE, [number(Fraction(1, p)) for p in primes])
+    labels = [number(Fraction(1, p)) for p in primes]
     steps = []
     real_lcm = monoid_module.lcm
     monkeypatch.setattr(monoid_module, "lcm", lambda a, b: steps.append(b) or real_lcm(a, b))
-    run = _payload_diagram(d)
+    # ``Diagram(...)`` builds the run, so the count starts before it.
+    d = Diagram(star, ADDITIVE, labels)
+    run = d._run
     assert run.monoid is ADDITIVE._kernel
     assert run.labels == [(1, p) for p in primes]
     # Any 430 distinct primes multiply to at least the product of the 430
@@ -418,7 +421,8 @@ def test_subclasses_and_wrappers_keep_the_boxed_path(wrap, family, make, kind):
         plain = _differential_diagram(seed, family, kind, max_vertices=5, max_edges=10)
         monoid = make(plain.monoid)
         d = Diagram(plain.graph, monoid, plain.labels)
-        assert _payload_diagram(d) is d
+        assert d._run.monoid is monoid
+        assert d._run.labels is d.labels
         report = verify(d)
         assert monoid.calls == {"op": report.mult_total, "eq": report.eq_total}
         assert report.to_json() == verify(plain).to_json()
@@ -426,3 +430,46 @@ def test_subclasses_and_wrappers_keep_the_boxed_path(wrap, family, make, kind):
         n = d.graph.vertex_count
         assert oracle_verify(d, n) == oracle_verify(plain, n)
         assert monoid.calls["op"] + monoid.calls["eq"] > 0 or d.graph.edge_count == 0
+
+
+# ---------------------------------------------------------------------------
+# The run view ``Diagram(...)`` builds once
+
+# Every family, and additive labels just under and just past the cap.
+_VIEW_CASES = [*FAMILIES, *(exponents for exponents, _ in _CAP_CASES[1:])]
+
+
+@pytest.mark.parametrize(
+    "case", _VIEW_CASES, ids=[*FAMILIES, *(f"additive-{bits}-bits" for _, bits in _CAP_CASES[1:])]
+)
+def test_diagram_builds_the_run_view_once_and_runs_only_read_it(monkeypatch, case):
+    if case in FAMILIES:
+        plain = _differential_diagram(3, case, "twin", max_vertices=6, max_edges=12)
+    else:
+        plain = _prime_potential_diagram(case, planted=True)
+    calls = []
+    family_type = type(plain.monoid)
+    real_run = family_type._run
+    monkeypatch.setattr(family_type, "_run", lambda self, labels: calls.append(labels) or real_run(self, labels))
+    d = Diagram(plain.graph, plain.monoid, plain.labels)
+    assert calls == [d.labels]
+    assert d._run == plain._run
+    report = verify(d)
+    verify(d, trace=True)
+    oracle_verify(d, d.graph.vertex_count)
+    validate_witness(d, report.witness or PathMismatch(Path((), 0, 0), Path((), 0, 0)))
+    assert len(calls) == 1
+
+
+def test_additive_diagram_past_the_cap_pickles_and_copies():
+    exponents, bits = _CAP_CASES[-1]
+    assert bits > _SCALE_CAP_BITS
+    d = _prime_potential_diagram(exponents, planted=True)
+    assert d._run.monoid is ADDITIVE._kernel
+    plain, traced = verify(d).to_json(), verify(d, trace=True).to_json()
+    clones = [pickle.loads(pickle.dumps(d, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in [*clones, copy.deepcopy(d)]:
+        assert clone == d
+        assert clone._run.labels == d._run.labels
+        assert verify(clone).to_json() == plain
+        assert verify(clone, trace=True).to_json() == traced
