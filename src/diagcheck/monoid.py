@@ -22,16 +22,19 @@ values are immutable, ``op`` may return one of its operands: ``FREE.op``
 returns the other word when one word is empty.
 Each matrix instance picks its product kernel once, by k: unrolled formulas
 for k = 2 and 3, and for any other k a row-by-row product that combines the
-right operand's rows at each left row's nonzero entries.
+right operand's rows at each left row's nonzero entries.  A left row that is
+a unit row (one nonzero entry, a 1) costs that kernel one lookup in a table
+the instance fills with its identity's rows, and its product row is the
+right operand's row itself.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, attrgetter
+from operator import add, attrgetter, mul, sub
 
 from .errors import Frozen, is_exact_int
 
@@ -223,20 +226,43 @@ def _mul_3(a, b):
     )
 
 
+# Each unit row (a single nonzero entry, a 1) mapped to the index of its 1.
+# ``MatrixMonoid`` adds its identity's rows when it picks ``_mul_rows``; rows
+# of different lengths are different keys, so one table serves every k.
+_UNIT_ROWS: dict[tuple, int] = {}
+
+
 def _mul_rows(a, b):
     """Any k.  Each row of the product is the combination of ``b``'s rows at
-    the row's nonzero entries, reusing a row of ``b`` as is for a coefficient
-    of 1.  Matrices with mostly-zero rows, such as unimodular potentials, skip
-    most terms; a fully dense product takes about 1.5x as long as dot products
-    with ``b``'s columns."""
+    the row's nonzero entries.  A unit row of ``a`` costs one lookup in
+    ``_UNIT_ROWS`` and its product row is the row of ``b`` itself, so an
+    identity left operand costs k lookups.  Any other row is one chain of lazy
+    sums of ``b``'s rows, a coefficient of 1 adding the row, -1 subtracting
+    it and any other multiplying through, taken into a tuple once.  The chain
+    nests one ``map`` per term: CPython 3.11 pulls 50,000 nested maps through
+    an 8 MB stack and 4,000 through a 512 KB thread stack.
+    Matrices with mostly-zero rows, such as unimodular potentials, skip most
+    terms; a random dense 8x8 product takes about 1.5x as long as dot
+    products with ``b``'s columns."""
     k = len(a)
+    unit = _UNIT_ROWS.get
     rows = []
     for row in a:
+        t = unit(row)
+        if t is not None:
+            rows.append(b[t])
+            continue
         acc = None
         for t in compress(range(k), row):
             c = row[t]
-            term = b[t] if c == 1 else [c * x for x in b[t]]
-            acc = term if acc is None else list(map(add, acc, term))
+            if acc is None:
+                acc = b[t] if c == 1 else map(mul, repeat(c), b[t])
+            elif c == 1:
+                acc = map(add, acc, b[t])
+            elif c == -1:
+                acc = map(sub, acc, b[t])
+            else:
+                acc = map(add, acc, map(mul, repeat(c), b[t]))
         rows.append((0,) * k if acc is None else tuple(acc))
     return tuple(rows)
 
@@ -353,12 +379,23 @@ class MatrixMonoid(_Monoid):
     _value_class = IntMatrix
 
     def __init__(self, k: int):
+        _check_dimension(k)
         one = IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
         product = _MUL_KERNELS.get(k, _mul_rows)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_one", one)
         kernel = _Kernel(one.entries, product, operator.eq, attrgetter("entries"), _int_matrix)
         object.__setattr__(self, "_kernel", kernel)
+        self._add_unit_rows()
+
+    def __setstate__(self, state):
+        # An instance unpickled in a fresh process fills the table as well.
+        super().__setstate__(state)
+        self._add_unit_rows()
+
+    def _add_unit_rows(self):
+        if self._kernel.op is _mul_rows:
+            _UNIT_ROWS.update(zip(self._one.entries, range(self.k)))
 
     def owns(self, value) -> bool:
         return isinstance(value, IntMatrix) and value.k == self.k
@@ -378,9 +415,14 @@ ADDITIVE = AdditiveMonoid()
 _matrix_monoids: dict[int, MatrixMonoid] = {}
 
 
-def matrix_monoid(k: int) -> MatrixMonoid:
+def _check_dimension(k) -> None:
     if not is_exact_int(k) or k < 1:
         raise ValueError("matrix dimension must be a positive integer")
+
+
+def matrix_monoid(k: int) -> MatrixMonoid:
+    # Checked before the lookup: ``True`` would find the instance for 1.
+    _check_dimension(k)
     mon = _matrix_monoids.get(k)
     if mon is None:
         mon = _matrix_monoids[k] = MatrixMonoid(k)

@@ -32,7 +32,7 @@ from diagcheck import (
     word,
     zero_matrix,
 )
-from diagcheck.monoid import _INT_SUM
+from diagcheck.monoid import _INT_SUM, MatrixMonoid
 
 
 def test_identities():
@@ -408,6 +408,15 @@ def test_constructor_argument_errors():
         matrix_monoid(0)
     with pytest.raises(ValueError, match="matrix unit position out of range"):
         matrix_unit(2, 2, 0)
+
+
+@pytest.mark.parametrize("k", (True, False, 2.0, 0, -1, "2", None))
+def test_matrix_dimension_must_be_a_positive_exact_integer(k):
+    # ``True`` hashes like 1, so ``matrix_monoid`` checks before its cache.
+    matrix_monoid(1)
+    for build in (MatrixMonoid, matrix_monoid):
+        with pytest.raises(ValueError, match="matrix dimension must be a positive integer"):
+            build(k)
 
 
 def test_additive_repr_shows_the_fraction():

@@ -350,6 +350,70 @@ def test_mul_rows_takes_sparse_and_dense_rows():
     assert _mul_rows(a, b)[1] is b[2]
 
 
+def _assert_mul_rows_exact(a, b):
+    product = _mul_rows(a, b)
+    assert product == _naive_product(a, b)
+    assert type(product) is tuple
+    assert all(type(row) is tuple and len(row) == len(a) for row in product)
+    assert all(type(x) is int for row in product for x in row)
+    # A unit row of ``a`` takes ``b``'s row itself.
+    for row, out in zip(a, product):
+        nonzero = [t for t, c in enumerate(row) if c]
+        if len(nonzero) == 1 and row[nonzero[0]] == 1:
+            assert out is b[nonzero[0]]
+
+
+def _sparse_rows(rng, k, density, values):
+    return tuple(tuple(rng.choice(values) if rng.random() < density else 0 for _ in range(k)) for _ in range(k))
+
+
+@pytest.mark.parametrize("table", ("filled", "empty"))
+@pytest.mark.parametrize("k", (1, 4, 5, 8, 9))
+def test_mul_rows_equals_the_naive_product(k, table, monkeypatch):
+    # Without its unit-row table the kernel takes every row the long way, and
+    # still returns ``b``'s row itself for a unit row.
+    matrix_monoid(k)
+    if table == "empty":
+        monkeypatch.setattr(monoid_module, "_UNIT_ROWS", {})
+    rng = random.Random(f"mul_rows/{k}")
+    small = (-2, -1, 0, 1, 2)
+    big = small + (2**64 + 1, -(2**70), 3**50)
+    for density in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
+        for values in (small, big):
+            for _ in range(8):
+                _assert_mul_rows_exact(_sparse_rows(rng, k, density, values), _sparse_rows(rng, k, 1.0, values))
+    # Potential labels pinv[o] * p[t], as perfbench builds them, and the
+    # products of consecutive ones along a path.
+    pairs = [_unimodular_pair(rng, k) for _ in range(6)]
+    labels = {(o, t): _mul_rows(pairs[o][1].entries, pairs[t][0].entries) for o in range(6) for t in range(6)}
+    for (o, s), left in labels.items():
+        for t in range(6):
+            _assert_mul_rows_exact(left, labels[s, t])
+            _assert_mul_rows_exact(pairs[o][0].entries, left)
+
+
+@pytest.mark.parametrize("k", (1, 4, 5, 8, 9))
+def test_mul_rows_takes_identity_rows_by_lookup(k):
+    mon = matrix_monoid(k)
+    assert all(monoid_module._UNIT_ROWS[row] == t for t, row in enumerate(mon.identity().entries))
+    rng = random.Random(f"identity/{k}")
+    b = _sparse_rows(rng, k, 0.5, (-2, -1, 1, 2, 2**65))
+    product = _mul_rows(mon.identity().entries, b)
+    assert product == b
+    assert all(out is row for out, row in zip(product, b))
+    permuted = tuple(mon.identity().entries[t] for t in rng.sample(range(k), k))
+    assert all(out is b[row.index(1)] for row, out in zip(permuted, _mul_rows(permuted, b)))
+
+
+def test_unpickled_matrix_monoid_fills_the_unit_row_table(monkeypatch):
+    monkeypatch.setattr(monoid_module, "_UNIT_ROWS", {})
+    mon = pickle.loads(pickle.dumps(matrix_monoid(6)))
+    assert monoid_module._UNIT_ROWS == {row: t for t, row in enumerate(mon.identity().entries)}
+    # The unrolled kernels read no table.
+    pickle.loads(pickle.dumps(matrix_monoid(3)))
+    assert len(monoid_module._UNIT_ROWS) == 6
+
+
 @pytest.mark.parametrize("k", MATRIX_KS)
 def test_matrix_kernel_matches_the_boxed_op(k):
     mon = matrix_monoid(k)
