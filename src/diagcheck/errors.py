@@ -31,7 +31,9 @@ class Record:
     stores its fields in ``__slots__`` and sets them in its own ``__init__``;
     ``__match_args__`` names the fields that the repr, ``==`` and pattern
     matching read, in order.  Two records are equal when they are of one class
-    and those fields are equal.  Pickling and copying carry every slot."""
+    and those fields are equal.  A record pickles and copies as a call to its
+    own class with those fields, so its constructor checks them again and
+    rebuilds every other slot."""
 
     __slots__ = ()
     __match_args__ = ()
@@ -50,12 +52,8 @@ class Record:
 
     __hash__ = None
 
-    def __getstate__(self):
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 def _refuse(message):

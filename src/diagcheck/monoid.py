@@ -23,8 +23,8 @@ returns the other word when one word is empty.
 Each matrix instance picks its product kernel once, by k: unrolled formulas
 for k = 2 and 3, and for any other k a row-by-row product that combines the
 right operand's rows at each left row's nonzero entries.  A left row that is
-a unit row (one nonzero entry, a 1) costs that kernel one lookup in a table
-the instance fills with its identity's rows, and its product row is the
+a unit row (one nonzero entry, a 1) costs that kernel one lookup in the
+instance's own table of its identity's rows, and its product row is the
 right operand's row itself.
 """
 
@@ -100,6 +100,10 @@ class AdditiveNumber(Frozen):
     def negate(self) -> "AdditiveNumber":
         return _additive(-self.num, self.den)
 
+    def __reduce__(self):
+        # The constructor takes the value, not the pair.
+        return type(self), (self.value,)
+
 
 class IntMatrix(Frozen):
     """Square matrix of exact integers under multiplication."""
@@ -132,7 +136,7 @@ class IntMatrix(Frozen):
 # construction: products of valid values (each family is closed under its
 # operation), the negation of a normalized pair, and the payloads
 # ``diagram``'s parser has checked entry by entry (exact-``int`` tuples and
-# normalized pairs).  They are module-level functions so that kernels pickle.
+# normalized pairs).
 
 _new = object.__new__
 _set_letters = FreeWord.letters.__set__
@@ -152,10 +156,6 @@ def _additive(num: int, den: int) -> AdditiveNumber:
     _set_num(value, num)
     _set_den(value, den)
     return value
-
-
-def _additive_pair(pair: tuple) -> AdditiveNumber:
-    return _additive(*pair)
 
 
 def _int_matrix(entries: tuple) -> IntMatrix:
@@ -206,8 +206,7 @@ _INT_SUM = _Kernel(0, add, operator.eq, None, None)
 _SCALE_CAP_BITS = 4096
 
 
-# Matrix product kernels on row tuples.  ``MatrixMonoid`` picks one per k;
-# they are module-level functions so that instances still pickle.
+# Matrix product kernels on row tuples.  ``MatrixMonoid`` picks one per k.
 
 
 def _mul_2(a, b):
@@ -226,45 +225,42 @@ def _mul_3(a, b):
     )
 
 
-# Each unit row (a single nonzero entry, a 1) mapped to the index of its 1.
-# ``MatrixMonoid`` adds its identity's rows when it picks ``_mul_rows``; rows
-# of different lengths are different keys, so one table serves every k.
-_UNIT_ROWS: dict[tuple, int] = {}
+def _row_kernel(unit_rows: dict):
+    """The product for any k, over ``unit_rows``, which maps each unit row (a
+    single nonzero entry, a 1) it knows to the index of its 1.  Each row of
+    the product is the combination of ``b``'s rows at the row's nonzero
+    entries.  A unit row of ``a`` costs one lookup and its product row is the
+    row of ``b`` itself, so an identity left operand costs k lookups.  Any
+    other row is one chain of lazy sums of ``b``'s rows, a coefficient of 1
+    adding the row, -1 subtracting it and any other multiplying through,
+    taken into a tuple once.  Matrices with mostly-zero rows, such as
+    unimodular potentials, skip most terms; a random dense 8x8 product takes
+    about 1.5x as long as dot products with ``b``'s columns."""
 
+    def _mul_rows(a, b):
+        k = len(a)
+        unit = unit_rows.get
+        rows = []
+        for row in a:
+            t = unit(row)
+            if t is not None:
+                rows.append(b[t])
+                continue
+            acc = None
+            for t in compress(range(k), row):
+                c = row[t]
+                if acc is None:
+                    acc = b[t] if c == 1 else map(mul, repeat(c), b[t])
+                elif c == 1:
+                    acc = map(add, acc, b[t])
+                elif c == -1:
+                    acc = map(sub, acc, b[t])
+                else:
+                    acc = map(add, acc, map(mul, repeat(c), b[t]))
+            rows.append((0,) * k if acc is None else tuple(acc))
+        return tuple(rows)
 
-def _mul_rows(a, b):
-    """Any k.  Each row of the product is the combination of ``b``'s rows at
-    the row's nonzero entries.  A unit row of ``a`` costs one lookup in
-    ``_UNIT_ROWS`` and its product row is the row of ``b`` itself, so an
-    identity left operand costs k lookups.  Any other row is one chain of lazy
-    sums of ``b``'s rows, a coefficient of 1 adding the row, -1 subtracting
-    it and any other multiplying through, taken into a tuple once.  The chain
-    nests one ``map`` per term: CPython 3.11 pulls 50,000 nested maps through
-    an 8 MB stack and 4,000 through a 512 KB thread stack.
-    Matrices with mostly-zero rows, such as unimodular potentials, skip most
-    terms; a random dense 8x8 product takes about 1.5x as long as dot
-    products with ``b``'s columns."""
-    k = len(a)
-    unit = _UNIT_ROWS.get
-    rows = []
-    for row in a:
-        t = unit(row)
-        if t is not None:
-            rows.append(b[t])
-            continue
-        acc = None
-        for t in compress(range(k), row):
-            c = row[t]
-            if acc is None:
-                acc = b[t] if c == 1 else map(mul, repeat(c), b[t])
-            elif c == 1:
-                acc = map(add, acc, b[t])
-            elif c == -1:
-                acc = map(sub, acc, b[t])
-            else:
-                acc = map(add, acc, map(mul, repeat(c), b[t]))
-        rows.append((0,) * k if acc is None else tuple(acc))
-    return tuple(rows)
+    return _mul_rows
 
 
 _MUL_KERNELS = {2: _mul_2, 3: _mul_3}
@@ -353,7 +349,7 @@ class AdditiveMonoid(_Monoid):
     _one = AdditiveNumber(0)
     _value_class = AdditiveNumber
     _noun = "an additive number"
-    _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"), _additive_pair)
+    _kernel = _Kernel((0, 1), _add_pairs, operator.eq, attrgetter("num", "den"), lambda pair: _additive(*pair))
 
     def _run(self, labels):
         """Integers, when the labels' denominators have a common multiple L of
@@ -371,7 +367,13 @@ class AdditiveMonoid(_Monoid):
 
 
 class MatrixMonoid(_Monoid):
-    """k x k integer matrices under multiplication; the identity matrix is 1."""
+    """k x k integer matrices under multiplication; the identity matrix is 1.
+
+    For k other than 2 and 3 the product builds each row as one chain of
+    lazy sums, one nested ``map`` per nonzero entry of the left row, over a
+    unit-row table the instance owns.  A left row with more than about 4,000
+    nonzero entries can overflow a 512 KB thread stack (CPython 3.11 pulls
+    50,000 nested maps through an 8 MB stack); documents cap k at 256."""
 
     __slots__ = ("k", "_one", "_kernel")
     __match_args__ = ("k",)
@@ -381,21 +383,11 @@ class MatrixMonoid(_Monoid):
     def __init__(self, k: int):
         _check_dimension(k)
         one = IntMatrix(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
-        product = _MUL_KERNELS.get(k, _mul_rows)
+        product = _MUL_KERNELS.get(k) or _row_kernel(dict(zip(one.entries, range(k))))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_one", one)
         kernel = _Kernel(one.entries, product, operator.eq, attrgetter("entries"), _int_matrix)
         object.__setattr__(self, "_kernel", kernel)
-        self._add_unit_rows()
-
-    def __setstate__(self, state):
-        # An instance unpickled in a fresh process fills the table as well.
-        super().__setstate__(state)
-        self._add_unit_rows()
-
-    def _add_unit_rows(self):
-        if self._kernel.op is _mul_rows:
-            _UNIT_ROWS.update(zip(self._one.entries, range(self.k)))
 
     def owns(self, value) -> bool:
         return isinstance(value, IntMatrix) and value.k == self.k
@@ -474,6 +466,7 @@ def matrix_unit(k: int, row: int, col: int) -> IntMatrix:
 
 
 def zero_matrix(k: int) -> IntMatrix:
+    _check_dimension(k)
     return IntMatrix(tuple(tuple(0 for _ in range(k)) for _ in range(k)))
 
 

@@ -414,8 +414,8 @@ def test_constructor_argument_errors():
 def test_matrix_dimension_must_be_a_positive_exact_integer(k):
     # ``True`` hashes like 1, so ``matrix_monoid`` checks before its cache.
     matrix_monoid(1)
-    for build in (MatrixMonoid, matrix_monoid):
-        with pytest.raises(ValueError, match="matrix dimension must be a positive integer"):
+    for build in (MatrixMonoid, matrix_monoid, zero_matrix):
+        with pytest.raises(ValueError, match="^matrix dimension must be a positive integer$"):
             build(k)
 
 

@@ -4,6 +4,7 @@ families on, against the boxed ``op``/``eq`` and against the boxed path."""
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import pickle
 import random
@@ -34,7 +35,7 @@ from diagcheck.monoid import (
     FreeMonoid,
     MatrixMonoid,
     _add_pairs,
-    _mul_rows,
+    _row_kernel,
 )
 from diagcheck.verifier import PathMismatch
 
@@ -340,18 +341,28 @@ def _naive_product(a, b):
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)) for i in range(k))
 
 
+def _unit_rows(mon):
+    """The unit-row table a matrix instance's row kernel closes over."""
+    return inspect.getclosurevars(mon._kernel.op).nonlocals["unit_rows"]
+
+
+def _identity_table(k):
+    return {row: t for t, row in enumerate(matrix_monoid(k).identity().entries)}
+
+
 def test_mul_rows_takes_sparse_and_dense_rows():
     # One row strategy serves every kind of row: row 0 is dense (all of b's
     # rows combined), row 1 has one entry of 1 (a shared row of b), row 2 one
     # entry of 3, row 3 is zero.
     a = ((1, 2, 3, 4), (0, 0, 1, 0), (0, 3, 0, 0), (0, 0, 0, 0))
     b = ((1, 0, 2, 0), (0, -1, 0, 5), (7, 0, 0, 1), (2, 2, 2, 2))
-    assert _mul_rows(a, b) == _naive_product(a, b)
-    assert _mul_rows(a, b)[1] is b[2]
+    for mul_rows in (matrix_monoid(4)._kernel.op, _row_kernel({})):
+        assert mul_rows(a, b) == _naive_product(a, b)
+        assert mul_rows(a, b)[1] is b[2]
 
 
-def _assert_mul_rows_exact(a, b):
-    product = _mul_rows(a, b)
+def _assert_mul_rows_exact(mul_rows, a, b):
+    product = mul_rows(a, b)
     assert product == _naive_product(a, b)
     assert type(product) is tuple
     assert all(type(row) is tuple and len(row) == len(a) for row in product)
@@ -369,49 +380,56 @@ def _sparse_rows(rng, k, density, values):
 
 @pytest.mark.parametrize("table", ("filled", "empty"))
 @pytest.mark.parametrize("k", (1, 4, 5, 8, 9))
-def test_mul_rows_equals_the_naive_product(k, table, monkeypatch):
-    # Without its unit-row table the kernel takes every row the long way, and
+def test_mul_rows_equals_the_naive_product(k, table):
+    # Without a unit-row table the kernel takes every row the long way, and
     # still returns ``b``'s row itself for a unit row.
-    matrix_monoid(k)
-    if table == "empty":
-        monkeypatch.setattr(monoid_module, "_UNIT_ROWS", {})
+    mul_rows = matrix_monoid(k)._kernel.op if table == "filled" else _row_kernel({})
     rng = random.Random(f"mul_rows/{k}")
     small = (-2, -1, 0, 1, 2)
     big = small + (2**64 + 1, -(2**70), 3**50)
     for density in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
         for values in (small, big):
             for _ in range(8):
-                _assert_mul_rows_exact(_sparse_rows(rng, k, density, values), _sparse_rows(rng, k, 1.0, values))
+                a, b = _sparse_rows(rng, k, density, values), _sparse_rows(rng, k, 1.0, values)
+                _assert_mul_rows_exact(mul_rows, a, b)
     # Potential labels pinv[o] * p[t], as perfbench builds them, and the
     # products of consecutive ones along a path.
     pairs = [_unimodular_pair(rng, k) for _ in range(6)]
-    labels = {(o, t): _mul_rows(pairs[o][1].entries, pairs[t][0].entries) for o in range(6) for t in range(6)}
+    labels = {(o, t): mul_rows(pairs[o][1].entries, pairs[t][0].entries) for o in range(6) for t in range(6)}
     for (o, s), left in labels.items():
         for t in range(6):
-            _assert_mul_rows_exact(left, labels[s, t])
-            _assert_mul_rows_exact(pairs[o][0].entries, left)
+            _assert_mul_rows_exact(mul_rows, left, labels[s, t])
+            _assert_mul_rows_exact(mul_rows, pairs[o][0].entries, left)
 
 
 @pytest.mark.parametrize("k", (1, 4, 5, 8, 9))
 def test_mul_rows_takes_identity_rows_by_lookup(k):
     mon = matrix_monoid(k)
-    assert all(monoid_module._UNIT_ROWS[row] == t for t, row in enumerate(mon.identity().entries))
+    assert _unit_rows(mon) == _identity_table(k)
     rng = random.Random(f"identity/{k}")
     b = _sparse_rows(rng, k, 0.5, (-2, -1, 1, 2, 2**65))
-    product = _mul_rows(mon.identity().entries, b)
+    mul_rows = mon._kernel.op
+    product = mul_rows(mon.identity().entries, b)
     assert product == b
     assert all(out is row for out, row in zip(product, b))
     permuted = tuple(mon.identity().entries[t] for t in rng.sample(range(k), k))
-    assert all(out is b[row.index(1)] for row, out in zip(permuted, _mul_rows(permuted, b)))
+    assert all(out is b[row.index(1)] for row, out in zip(permuted, mul_rows(permuted, b)))
 
 
-def test_unpickled_matrix_monoid_fills_the_unit_row_table(monkeypatch):
-    monkeypatch.setattr(monoid_module, "_UNIT_ROWS", {})
-    mon = pickle.loads(pickle.dumps(matrix_monoid(6)))
-    assert monoid_module._UNIT_ROWS == {row: t for t, row in enumerate(mon.identity().entries)}
+def test_unpickled_matrix_monoid_fills_the_unit_row_table():
+    # Every instance, an unpickled or copied one too, fills a table of its own.
+    mon = MatrixMonoid(6)
+    clones = [mon, matrix_monoid(6), pickle.loads(pickle.dumps(mon)), copy.deepcopy(mon), copy.copy(mon)]
+    assert len({id(_unit_rows(clone)) for clone in clones}) == len(clones)
+    a = ((0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0,) * 6, (0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0))
+    b = tuple(tuple(range(6 * i, 6 * i + 6)) for i in range(6))
+    for clone in clones:
+        assert clone == mon and _unit_rows(clone) == _identity_table(6)
+        product = clone._kernel.op(a, b)
+        assert product == _naive_product(a, b)
+        assert product[0] is b[2] and product[1] is b[0] and product[4] is b[5]
     # The unrolled kernels read no table.
-    pickle.loads(pickle.dumps(matrix_monoid(3)))
-    assert len(monoid_module._UNIT_ROWS) == 6
+    assert inspect.getclosurevars(pickle.loads(pickle.dumps(matrix_monoid(3)))._kernel.op).nonlocals == {}
 
 
 @pytest.mark.parametrize("k", MATRIX_KS)
@@ -537,3 +555,21 @@ def test_additive_diagram_past_the_cap_pickles_and_copies():
         assert clone._run.labels == d._run.labels
         assert verify(clone).to_json() == plain
         assert verify(clone, trace=True).to_json() == traced
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_unpickled_diagram_builds_its_own_run_view(monkeypatch, family):
+    d = _differential_diagram(5, family, "twin", max_vertices=6, max_edges=12)
+    calls = []
+    family_type = type(d.monoid)
+    real_run = family_type._run
+    monkeypatch.setattr(family_type, "_run", lambda self, labels: calls.append(labels) or real_run(self, labels))
+    for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert clone == d and clone._run is not d._run
+        assert clone._run.graph is clone.graph and clone._run.labels == d._run.labels
+        if family in ("free", "additive"):
+            assert clone._run == d._run
+        else:
+            # A matrix instance's kernel is its own.
+            assert clone._run.monoid is clone.monoid._kernel
+    assert calls == [d.labels] * 3

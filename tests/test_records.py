@@ -154,6 +154,16 @@ def test_deepcopy_and_copy_round_trip(name):
         assert type(clone) is type(record) and clone == record and repr(clone) == repr(record)
 
 
+def test_records_pickle_as_calls_to_their_constructors():
+    diagram = _FROZEN["Diagram"][0]
+    assert diagram.__reduce__() == (Diagram, (_GRAPH, FREE, diagram.labels))
+    assert _GRAPH.__reduce__() == (OrientedGraph, (2, ((0, 1), (0, 1), (1, 1))))
+    assert matrix_monoid(5).__reduce__() == (MatrixMonoid, (5,))
+    assert _report().__reduce__()[0] is VerificationReport
+    # An additive number's constructor takes its value, not its pair.
+    assert number(Fraction(-3, 4)).__reduce__() == (AdditiveNumber, (Fraction(-3, 4),))
+
+
 def test_copied_monoids_still_multiply():
     for mon in (FREE, ADDITIVE, matrix_monoid(2), matrix_monoid(5)):
         for clone in (pickle.loads(pickle.dumps(mon)), copy.deepcopy(mon)):
