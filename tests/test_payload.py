@@ -4,10 +4,12 @@ families on, against the boxed ``op``/``eq`` and against the boxed path."""
 from __future__ import annotations
 
 import copy
-import inspect
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -70,8 +72,7 @@ def _random_value(rng, family):
 def _unimodular_pair(rng, k):
     """A k x k integer matrix with an integer inverse, and that inverse: a
     sign diagonal times a few shears."""
-    mon = matrix_monoid(k)
-    signs = matrix(tuple(tuple(rng.choice((1, -1)) if i == j else 0 for j in range(k)) for i in range(k)))
+    signs = tuple(tuple(rng.choice((1, -1)) if i == j else 0 for j in range(k)) for i in range(k))
     p = pinv = signs
     for _ in range(rng.randint(0, 3) if k > 1 else 0):
         i, j = rng.sample(range(k), 2)
@@ -79,9 +80,9 @@ def _unimodular_pair(rng, k):
         shear = [[int(r == s) for s in range(k)] for r in range(k)]
         unshear = [row[:] for row in shear]
         shear[i][j], unshear[i][j] = c, -c
-        p = mon.op(p, matrix(shear))
-        pinv = mon.op(matrix(unshear), pinv)
-    return p, pinv
+        p = _naive_product(p, shear)
+        pinv = _naive_product(unshear, pinv)
+    return matrix(p), matrix(pinv)
 
 
 def _potential_labels(rng, family, edges, n):
@@ -341,24 +342,28 @@ def _naive_product(a, b):
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)) for i in range(k))
 
 
-def _unit_rows(mon):
-    """The unit-row table a matrix instance's row kernel closes over."""
-    return inspect.getclosurevars(mon._kernel.op).nonlocals["unit_rows"]
-
-
-def _identity_table(k):
-    return {row: t for t, row in enumerate(matrix_monoid(k).identity().entries)}
-
-
 def test_mul_rows_takes_sparse_and_dense_rows():
     # One row strategy serves every kind of row: row 0 is dense (all of b's
-    # rows combined), row 1 has one entry of 1 (a shared row of b), row 2 one
-    # entry of 3, row 3 is zero.
-    a = ((1, 2, 3, 4), (0, 0, 1, 0), (0, 3, 0, 0), (0, 0, 0, 0))
-    b = ((1, 0, 2, 0), (0, -1, 0, 5), (7, 0, 0, 1), (2, 2, 2, 2))
-    for mul_rows in (matrix_monoid(4)._kernel.op, _row_kernel({})):
-        assert mul_rows(a, b) == _naive_product(a, b)
-        assert mul_rows(a, b)[1] is b[2]
+    # rows combined, with coefficients 1, -1 and others), row 1 has one entry
+    # of 1 (a shared row of b), row 2 one entry of 3, row 3 is zero, row 4
+    # starts at -1 and row 5 adds a row to a shared first term.
+    a = (
+        (1, -1, 3, 4, -2, 1),
+        (0, 0, 1, 0, 0, 0),
+        (0, 3, 0, 0, 0, 0),
+        (0,) * 6,
+        (-1, 1, 0, 0, 0, 0),
+        (0, 1, 0, 0, 1, 0),
+    )
+    b = tuple(tuple((7 * i + 3 * j) % 11 - 5 for j in range(6)) for i in range(6))
+    for mul_rows in (matrix_monoid(6)._kernel.op, _row_kernel(6)):
+        product = mul_rows(a, b)
+        assert product == _naive_product(a, b)
+        assert product[1] is b[2]
+        assert product[3] == (0,) * 6
+    # A zero row is one shared row, however often it occurs.
+    zero = _row_kernel(3)(((0, 0, 0),) * 3, ((1, 2, 3),) * 3)
+    assert zero == ((0, 0, 0),) * 3 and zero[0] is zero[1] is zero[2]
 
 
 def _assert_mul_rows_exact(mul_rows, a, b):
@@ -378,19 +383,21 @@ def _sparse_rows(rng, k, density, values):
     return tuple(tuple(rng.choice(values) if rng.random() < density else 0 for _ in range(k)) for _ in range(k))
 
 
-@pytest.mark.parametrize("table", ("filled", "empty"))
-@pytest.mark.parametrize("k", (1, 4, 5, 8, 9))
-def test_mul_rows_equals_the_naive_product(k, table):
-    # Without a unit-row table the kernel takes every row the long way, and
-    # still returns ``b``'s row itself for a unit row.
-    mul_rows = matrix_monoid(k)._kernel.op if table == "filled" else _row_kernel({})
-    rng = random.Random(f"mul_rows/{k}")
+@pytest.mark.parametrize("right", ("filled", "empty"))
+@pytest.mark.parametrize("k", (1, 4, 5, 8, 9, 16))
+def test_mul_rows_equals_the_naive_product(k, right):
+    # Left operands from all zeros to dense.  A "filled" right operand is
+    # dense; an "empty" one is as sparse as the left, so zero rows and zero
+    # operands occur on both sides.
+    mul_rows = matrix_monoid(k)._kernel.op
+    rng = random.Random(f"mul_rows/{k}/{right}")
     small = (-2, -1, 0, 1, 2)
     big = small + (2**64 + 1, -(2**70), 3**50)
     for density in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
         for values in (small, big):
             for _ in range(8):
-                a, b = _sparse_rows(rng, k, density, values), _sparse_rows(rng, k, 1.0, values)
+                a = _sparse_rows(rng, k, density, values)
+                b = _sparse_rows(rng, k, 1.0 if right == "filled" else density, values)
                 _assert_mul_rows_exact(mul_rows, a, b)
     # Potential labels pinv[o] * p[t], as perfbench builds them, and the
     # products of consecutive ones along a path.
@@ -402,10 +409,9 @@ def test_mul_rows_equals_the_naive_product(k, table):
             _assert_mul_rows_exact(mul_rows, pairs[o][0].entries, left)
 
 
-@pytest.mark.parametrize("k", (1, 4, 5, 8, 9))
+@pytest.mark.parametrize("k", (1, 4, 5, 8, 9, 16))
 def test_mul_rows_takes_identity_rows_by_lookup(k):
     mon = matrix_monoid(k)
-    assert _unit_rows(mon) == _identity_table(k)
     rng = random.Random(f"identity/{k}")
     b = _sparse_rows(rng, k, 0.5, (-2, -1, 1, 2, 2**65))
     mul_rows = mon._kernel.op
@@ -416,20 +422,56 @@ def test_mul_rows_takes_identity_rows_by_lookup(k):
     assert all(out is b[row.index(1)] for row, out in zip(permuted, mul_rows(permuted, b)))
 
 
-def test_unpickled_matrix_monoid_fills_the_unit_row_table():
-    # Every instance, an unpickled or copied one too, fills a table of its own.
+def test_pickled_and_copied_matrix_monoids_generate_their_own_row_kernel():
+    # Every instance, an unpickled or copied one too, generates its own row
+    # kernel, and building one changes no module-level state.
+    names, cache = dict(vars(monoid_module)), dict(monoid_module._matrix_monoids)
     mon = MatrixMonoid(6)
+    assert vars(monoid_module) == names and monoid_module._matrix_monoids == cache
     clones = [mon, matrix_monoid(6), pickle.loads(pickle.dumps(mon)), copy.deepcopy(mon), copy.copy(mon)]
-    assert len({id(_unit_rows(clone)) for clone in clones}) == len(clones)
+    assert len({id(clone._kernel.op) for clone in clones}) == len(clones)
     a = ((0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0,) * 6, (0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0))
     b = tuple(tuple(range(6 * i, 6 * i + 6)) for i in range(6))
     for clone in clones:
-        assert clone == mon and _unit_rows(clone) == _identity_table(6)
+        assert clone == mon and clone._kernel.op.__name__ == "_mul_rows"
         product = clone._kernel.op(a, b)
         assert product == _naive_product(a, b)
         assert product[0] is b[2] and product[1] is b[0] and product[4] is b[5]
-    # The unrolled kernels read no table.
-    assert inspect.getclosurevars(pickle.loads(pickle.dumps(matrix_monoid(3)))._kernel.op).nonlocals == {}
+    # The unrolled kernels are shared module-level functions.
+    assert pickle.loads(pickle.dumps(matrix_monoid(3)))._kernel.op is matrix_monoid(3)._kernel.op
+
+
+_DEEP_ROW_PROBE = """
+import sys, threading
+from diagcheck.monoid import _row_kernel
+
+k = 4_200
+mul_rows = _row_kernel(k)
+row = tuple(range(1, k + 1))
+out = []
+threading.stack_size(512 * 1024)
+thread = threading.Thread(target=lambda: out.append(mul_rows(((1,) * k,), (row,) * k)))
+thread.start()
+thread.join()
+assert out == [(tuple(k * x for x in row),)], "wrong product"
+print("ok")
+"""
+
+
+def test_a_dense_wide_row_runs_on_a_small_thread_stack():
+    # A left row with thousands of nonzero entries is folded term by term, so
+    # a thread with a 512 KB stack multiplies it.  A crash would kill only
+    # the child process.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monoid_module.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_ROW_PROBE],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["ok"]
 
 
 @pytest.mark.parametrize("k", MATRIX_KS)
