@@ -27,6 +27,7 @@ from diagcheck import (
     validate_witness,
     verify,
     word,
+    zero_matrix,
 )
 from diagcheck import monoid as monoid_module
 from diagcheck.graph import Path
@@ -35,6 +36,7 @@ from diagcheck.monoid import (
     _SCALE_CAP_BITS,
     AdditiveMonoid,
     FreeMonoid,
+    IntMatrix,
     MatrixMonoid,
     _add_pairs,
     _row_kernel,
@@ -356,13 +358,13 @@ def test_mul_rows_takes_sparse_and_dense_rows():
         (0, 1, 0, 0, 1, 0),
     )
     b = tuple(tuple((7 * i + 3 * j) % 11 - 5 for j in range(6)) for i in range(6))
-    for mul_rows in (matrix_monoid(6)._kernel.op, _row_kernel(6)):
+    for mul_rows in (matrix_monoid(6)._kernel.op, _row_kernel(6).op):
         product = mul_rows(a, b)
         assert product == _naive_product(a, b)
         assert product[1] is b[2]
         assert product[3] == (0,) * 6
     # A zero row is one shared row, however often it occurs.
-    zero = _row_kernel(3)(((0, 0, 0),) * 3, ((1, 2, 3),) * 3)
+    zero = _row_kernel(3).op(((0, 0, 0),) * 3, ((1, 2, 3),) * 3)
     assert zero == ((0, 0, 0),) * 3 and zero[0] is zero[1] is zero[2]
 
 
@@ -443,17 +445,17 @@ def test_pickled_and_copied_matrix_monoids_generate_their_own_row_kernel():
 
 _DEEP_ROW_PROBE = """
 import sys, threading
-from diagcheck.monoid import _row_kernel
+from diagcheck.monoid import _row_arithmetic
 
 k = 4_200
-mul_rows = _row_kernel(k)
+combine = _row_arithmetic(k)["combine"]
 row = tuple(range(1, k + 1))
 out = []
 threading.stack_size(512 * 1024)
-thread = threading.Thread(target=lambda: out.append(mul_rows(((1,) * k,), (row,) * k)))
+thread = threading.Thread(target=lambda: out.append(combine((1,) * k, (row,) * k)))
 thread.start()
 thread.join()
-assert out == [(tuple(k * x for x in row),)], "wrong product"
+assert out == [tuple(k * x for x in row)], "wrong product"
 print("ok")
 """
 
@@ -480,12 +482,61 @@ def test_matrix_kernel_matches_the_boxed_op(k):
     kernel = mon._kernel
     rng = random.Random(k)
     values = [mon.identity()] + [_random_value(rng, f"mat{k}") for _ in range(12)]
-    assert kernel.identity() == mon.identity().entries
+    assert kernel.box(kernel.identity()) == mon.identity()
+    assert kernel.payload(mon.identity()) == kernel.identity()
     for a in values:
         for b in values:
             product = kernel.op(kernel.payload(a), kernel.payload(b))
-            assert product == mon.op(a, b).entries == _naive_product(a.entries, b.entries)
+            assert product == kernel.payload(mon.op(a, b))
+            assert kernel.box(product).entries == mon.op(a, b).entries == _naive_product(a.entries, b.entries)
             assert kernel.eq(kernel.payload(a), kernel.payload(b)) is mon.eq(a, b)
+
+
+@pytest.mark.parametrize("k", MATRIX_KS)
+def test_matrix_kernel_passes_the_right_operand_through_its_identity(k):
+    mon = matrix_monoid(k)
+    kernel = mon._kernel
+    assert kernel.identity() is kernel.one
+    rng = random.Random(f"passthrough/{k}")
+    for value in [mon.identity(), zero_matrix(k)] + [_random_value(rng, f"mat{k}") for _ in range(6)]:
+        p = kernel.payload(value)
+        assert kernel.op(kernel.one, p) is p
+    # An identity equal to the kernel's but not the same object is multiplied.
+    copy_of_one = kernel.payload(matrix(mon.identity().entries))
+    assert copy_of_one == kernel.one and copy_of_one is not kernel.one
+    p = kernel.payload(_random_value(rng, f"mat{k}"))
+    product = kernel.op(copy_of_one, p)
+    assert product == p and product is not p
+
+
+@pytest.mark.parametrize("k", MATRIX_KS)
+def test_matrix_kernel_boxes_its_payloads_back(k):
+    mon = matrix_monoid(k)
+    kernel = mon._kernel
+    rng = random.Random(f"box/{k}")
+    big = (2**64, -(2**64) - 1, 3**50, -(2**130))
+    values = [mon.identity(), zero_matrix(k)] + [_random_value(rng, f"mat{k}") for _ in range(6)]
+    values += [matrix(tuple(tuple(rng.choice(big + (0, 1, -1)) for _ in range(k)) for _ in range(k)))]
+    for value in values:
+        boxed = kernel.box(kernel.payload(value))
+        assert type(boxed) is IntMatrix and boxed == value
+        assert all(type(row) is tuple for row in boxed.entries)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_small_matrix_runs_hold_flat_int_tuples(k):
+    d = _differential_diagram(k, f"mat{k}", "twin", max_vertices=6, max_edges=12)
+    labels = list(d.labels) + [matrix(((2**64 + 1,) * k,) * k)]
+    d = Diagram(OrientedGraph(d.graph.vertex_count, list(d.graph.edges) + [(0, 0)]), d.monoid, labels)
+    run = d._run
+    assert run.monoid is d.monoid._kernel
+    assert type(run.monoid.one) is tuple and len(run.monoid.one) == k * k
+    for label, payload in zip(d.labels, run.labels):
+        assert type(payload) is tuple and len(payload) == k * k
+        assert all(type(x) is int for x in payload)
+        assert payload == tuple(x for row in label.entries for x in row)
+    product = run.monoid.op(run.labels[0], run.labels[-1])
+    assert type(product) is tuple and len(product) == k * k and all(type(x) is int for x in product)
 
 
 # ---------------------------------------------------------------------------
